@@ -1,7 +1,8 @@
 """Command-line surface: expand, dissect, verify, oracle, pmn, report.
 
 Exit status is 0 when everything asked for passed, 1 when any check
-failed (witnesses are printed), and 2 for usage or parse errors.
+failed (witnesses are printed), and 2 for usage or parse errors; a
+``verify`` run finishes every task before exiting 2.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import tasks
-from .congruence import (COLORED_ORACLE_CAP, CRANK_ORACLE_CAP,
-                         colored_partition_oracle, crank_parity_oracle)
+from .congruence import ORACLES, oracle_rows
 from .errors import CrankqError
 from .etaq import eta_quotient, named_series, parse_quotient, resolve_name
 from .kalgebra import pmn
 from .series import Series
 
 DEFAULT_ORDER = 300
+_USAGE_ERRORS = (CrankqError, ValueError, TypeError)
 
 
 def _series_from_args(args) -> Series:
@@ -75,48 +76,38 @@ def _cmd_verify(args) -> int:
         extra["p"] = args.p
     if args.n_max is not None:
         extra["n_max"] = args.n_max
-    failed = 0
+    failed = usage_errors = 0
     for tid in ids:
-        report = tasks.run_task(tid, order=args.order, **extra)
+        try:
+            report = tasks.run_task(tid, order=args.order, **extra)
+        except _USAGE_ERRORS as exc:
+            print(f"error: {tid}: {exc}", file=sys.stderr)
+            usage_errors += 1
+            continue
         _print_report(report, args)
         failed += not report.passed
-    return 1 if failed else 0
+    return 2 if usage_errors else 1 if failed else 0
 
 
 def _cmd_oracle(args) -> int:
-    if args.which == "crank":
-        cap = min(args.n_max if args.n_max is not None else 40, CRANK_ORACLE_CAP)
-        series = named_series("C", cap + 1)
-        oracle, label, skip = crank_parity_oracle, "crank-parity", {1}
-    else:
-        cap = min(args.n_max if args.n_max is not None else 35, COLORED_ORACLE_CAP)
-        series = named_series("a", cap + 1)
-        oracle, label, skip = colored_partition_oracle, "colored-partition", set()
-    mismatches = []
-    rows = []
-    for n in range(cap + 1):
-        enum = oracle(n)
-        coef = series.coeff(n)
-        note = ""
-        if n in skip:
-            note = "  (excluded: known discrepancy)"
-        elif enum != coef:
-            mismatches.append(n)
-            note = "  MISMATCH"
-        rows.append((n, enum, coef, note))
+    spec = ORACLES[args.which]
+    cap = min(args.n_max if args.n_max is not None else spec.default_n_max, spec.cap)
+    rows, mismatches = oracle_rows(args.which, cap)
+    skip = list(spec.excluded)
     if args.format == "json":
         payload = {
-            "oracle": label, "n_max": cap, "excluded": sorted(skip),
-            "rows": [{"n": n, "enumeration": e, "coefficient": c}
-                     for n, e, c, _ in rows],
+            "oracle": spec.label, "n_max": cap, "excluded": skip, "rows": rows,
             "outcome": "fail" if mismatches else "pass",
         }
         print(json.dumps(payload, sort_keys=False))
     else:
-        for n, e, c, note in rows:
+        for row in rows:
+            n, e, c = row.values()
+            note = ("  (excluded: known discrepancy)" if n in skip
+                    else "  MISMATCH" if row in mismatches else "")
             print(f"n={n:3d}  enumeration={e:12d}  coefficient={c:12d}{note}")
-        print(("FAIL " if mismatches else "PASS ") + label +
-              f" (n <= {cap}" + (f", excluding {sorted(skip)}" if skip else "") + ")")
+        print(("FAIL " if mismatches else "PASS ") + spec.label +
+              f" (n <= {cap}" + (f", excluding {skip}" if skip else "") + ")")
     return 1 if mismatches else 0
 
 
@@ -223,7 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (CrankqError, ValueError, TypeError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,16 +16,16 @@ oracle comparison excludes n = 1 and reports the discrepancy explicitly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import comb
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import theta
 from .errors import EnumerationCapExceeded, InexactDivision
 from .etaq import SeriesName, eta_series, named_series, resolve_name
-from .report import CheckReport
+from .report import CheckReport, first_mismatch
 from .series import Series
 from .theta import ThetaKind
 
@@ -45,6 +45,8 @@ __all__ = [
     "theorem_ids",
     "CRANK_ORACLE_CAP",
     "COLORED_ORACLE_CAP",
+    "ORACLES",
+    "oracle_rows",
 ]
 
 CRANK_ORACLE_CAP = 45
@@ -139,6 +141,44 @@ def colored_partition_oracle(n: int, cap: int = COLORED_ORACLE_CAP) -> int:
                 ways *= comb(parts.count(size) + 2, 2)
         total += ways
     return total
+
+
+class OracleSpec(NamedTuple):
+    """How an enumeration oracle is compared with its series."""
+
+    label: str
+    series: SeriesName
+    cap: int
+    default_n_max: int
+    excluded: tuple[int, ...] = ()   # documented discrepancies, not compared
+
+
+ORACLES = {
+    "crank": OracleSpec("crank-parity", SeriesName.C_CRANK, CRANK_ORACLE_CAP, 40, (1,)),
+    "colored": OracleSpec("colored-partition", SeriesName.A_RECIP,
+                          COLORED_ORACLE_CAP, 35),
+}
+
+
+def oracle_rows(which: str, n_max: int) -> tuple[list[dict], list[dict]]:
+    """Enumeration against series coefficient for 0 <= n <= n_max.
+
+    Returns every row and, in n order, the rows that disagree outside the
+    oracle's excluded n.  An n_max above the cap raises before any work.
+    """
+    spec = ORACLES[which]
+    if n_max > spec.cap:
+        raise EnumerationCapExceeded(
+            f"n_max = {n_max} exceeds the {spec.label} enumeration cap {spec.cap}")
+    # resolved per call, not stored in ORACLES, so that wrapping the module
+    # functions (as the benchmark tracer does) also covers these calls
+    count = crank_parity_oracle if which == "crank" else colored_partition_oracle
+    series = named_series(spec.series, n_max + 1)
+    rows = [{"n": n, "enumeration": count(n), "coefficient": series.coeff(n)}
+            for n in range(n_max + 1)]
+    mismatches = [row for row in rows if row["n"] not in spec.excluded
+                  and row["enumeration"] != row["coefficient"]]
+    return rows, mismatches
 
 
 # ----------------------------------------------------------------------
@@ -250,22 +290,28 @@ def check_progression(family: CongruenceFamily, n_max: int,
     """Scan the family for 0 <= n <= n_max; first violation is the witness."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    started = time.perf_counter()
     order = family.required_order(n_max)
     if series is None:
         series = named_series(family.sequence, order)
     params = family.params()
     params["n_max"] = n_max
-    for n in range(n_max + 1):
-        value = weighted_sum(family, n, series)
-        residue = value % family.modulus
-        if residue:
-            witness = {"n": n, "index": family.stride * n + family.offset,
-                       "residue": residue}
-            elapsed = int((time.perf_counter() - started) * 1000)
-            return CheckReport(task, params, order, "fail", witness, elapsed)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return CheckReport(task, params, order, "pass", elapsed_ms=elapsed)
+    residues = ((n, weighted_sum(family, n, series) % family.modulus)
+                for n in range(n_max + 1))
+    failures = ({"n": n, "index": family.stride * n + family.offset, "residue": r}
+                for n, r in residues if r)
+    return CheckReport.from_failures(task, params, order, failures)
+
+
+def _n_max_for(n_max: Optional[int], order: Optional[int], stride: int,
+               offset: int, default: int) -> int:
+    """Scan length of a progression stride*n + offset: ``n_max`` when
+    given, else the most steps whose index stays below ``order`` (at least
+    one step), else ``default``."""
+    if n_max is not None:
+        return n_max
+    if order is None:
+        return default
+    return max((order - 1 - offset) // stride, 0)
 
 
 def solve_24n_condition(alpha: int) -> tuple[int, int]:
@@ -290,7 +336,8 @@ def _is_prime(n: int) -> bool:
 
 
 def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
-                            n_max: int, corollary_n_max: int = 5) -> CheckReport:
+                            n_max: Optional[int] = None, corollary_n_max: int = 5,
+                            order: Optional[int] = None) -> CheckReport:
     """Multiplicative coefficient relations for f_1^4 f_2^2 and f_1^3 f_2.
 
     For the quartic product (sequence "d") only p = 7 is admissible and
@@ -300,25 +347,25 @@ def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
     prime, which is inferred from the first index where the right side
     is nonzero and then enforced everywhere, together with the vanishing
     corollary h(p^2 n + p r + 5(p^2-1)/24) = 0 for r = 1 .. p-1.
+
+    The relation is checked for n <= n_max; n_max defaults to 100, or,
+    given ``order``, to the most n whose index p n + shift stays below it.
     """
     sequence = resolve_name(sequence)
-    started = time.perf_counter()
     if sequence is SeriesName.D_CH:
         if p != 7:
             raise ValueError("the quartic-product relation requires p = 7")
         shift, factor = 16, 49
+        n_max = _n_max_for(n_max, order, 7, shift, 100)
         order = 7 * n_max + shift + 1
         series = named_series(sequence, order)
         params = {"sequence": sequence.value, "p": p, "n_max": n_max}
-        for n in range(n_max + 1):
-            lhs = series.coeff(7 * n + shift)
-            rhs = factor * series.coeff(n // 7) if n % 7 == 0 else 0
-            if lhs != rhs:
-                witness = {"n": n, "lhs": lhs, "rhs": rhs}
-                elapsed = int((time.perf_counter() - started) * 1000)
-                return CheckReport("ch-d", params, order, "fail", witness, elapsed)
-        elapsed = int((time.perf_counter() - started) * 1000)
-        return CheckReport("ch-d", params, order, "pass", elapsed_ms=elapsed)
+        pairs = ((n, series.coeff(7 * n + shift),
+                  factor * series.coeff(n // 7) if n % 7 == 0 else 0)
+                 for n in range(n_max + 1))
+        failures = ({"n": n, "lhs": lhs, "rhs": rhs}
+                    for n, lhs, rhs in pairs if lhs != rhs)
+        return CheckReport.from_failures("ch-d", params, order, failures)
 
     if sequence is not SeriesName.H_CH:
         raise ValueError(f"no multiplicative relation registered for {sequence}")
@@ -326,14 +373,14 @@ def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
         raise ValueError("p must be a prime in {13, 17, 19, 23} mod 24")
     shift5, rem = divmod(5 * (p * p - 1), 24)
     assert rem == 0
+    n_max = _n_max_for(n_max, order, p, shift5, 100)
     order = max(p * n_max, p * p * corollary_n_max + p * (p - 1)) + shift5 + 1
     series = named_series(sequence, order)
     params = {"sequence": sequence.value, "p": p, "n_max": n_max,
               "corollary_n_max": corollary_n_max, "shift": shift5}
 
-    def fail(witness: dict) -> CheckReport:
-        elapsed = int((time.perf_counter() - started) * 1000)
-        return CheckReport("ch-h", params, order, "fail", witness, elapsed)
+    def report(*failures: dict) -> CheckReport:
+        return CheckReport.from_failures("ch-h", params, order, failures)
 
     sign = 0
     for n in range(n_max + 1):
@@ -345,156 +392,125 @@ def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
             elif lhs == -p * rhs:
                 sign = -1
             else:
-                return fail({"n": n, "lhs": lhs, "rhs_times_p": p * rhs,
-                             "reason": "no consistent sign"})
+                return report({"n": n, "lhs": lhs, "rhs_times_p": p * rhs,
+                               "reason": "no consistent sign"})
         elif lhs != sign * p * rhs:
-            return fail({"n": n, "lhs": lhs, "rhs_times_p": sign * p * rhs,
-                         "sign": sign})
+            return report({"n": n, "lhs": lhs, "rhs_times_p": sign * p * rhs,
+                           "sign": sign})
     params["sign"] = sign if sign else None
     for n in range(corollary_n_max + 1):
         for r in range(1, p):
             idx = p * p * n + p * r + shift5
             value = series.coeff(idx)
             if value != 0:
-                return fail({"n": n, "r": r, "index": idx, "value": value,
-                             "reason": "corollary vanishing"})
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return CheckReport("ch-h", params, order, "pass", elapsed_ms=elapsed)
+                return report({"n": n, "r": r, "index": idx, "value": value,
+                               "reason": "corollary vanishing"})
+    return report()
 
 
 # ----------------------------------------------------------------------
 # named theorem tasks
+#
+# Every task below takes its own defaults; a task that scans n steps also
+# takes ``order`` and then scans every step whose index stays below it.
 
-def _mod_compare(task: str, params: dict, order: int, lhs: Series, rhs: Series,
-                 modulus: int, started: float) -> CheckReport:
-    diff = lhs.reduce_mod(modulus).first_diff(rhs.reduce_mod(modulus), upto=order)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    if diff is None:
-        return CheckReport(task, params, order, "pass", elapsed_ms=elapsed)
-    witness = {"exponent": diff,
-               "lhs": lhs._at(diff) % modulus, "rhs": rhs._at(diff) % modulus}
-    return CheckReport(task, params, order, "fail", witness, elapsed)
-
-
-def _check_thm11(alpha: Optional[int] = None, n_max: Optional[int] = None) -> CheckReport:
+def _check_thm11(alpha: Optional[int] = None, n_max: Optional[int] = None,
+                 order: Optional[int] = None) -> CheckReport:
     """Divisibility of the crank parity sequence by 5^(alpha+1) on the
     residue class solving 24n = 1 mod 5^(2*alpha+1)."""
-    started = time.perf_counter()
     alphas = [0, 1] if alpha is None else [alpha]
     defaults = {0: 200, 1: 8}
-    sub = []
+    classes, failures, reach = [], [], 0
     for a in alphas:
         residue, cls_mod = solve_24n_condition(a)
-        steps = n_max if n_max is not None else defaults.get(a, 3)
+        steps = _n_max_for(n_max, order, cls_mod, residue, defaults.get(a, 3))
         family = CongruenceFamily(SeriesName.C_CRANK, 5 ** (a + 1),
                                   stride=cls_mod, offset=residue)
-        sub.append((a, check_progression(family, steps, task="thm11")))
-    order = max(r.order for _, r in sub)
-    params = {"alphas": alphas, "classes": [
-        {"alpha": a, "residue": solve_24n_condition(a)[0],
-         "modulus": solve_24n_condition(a)[1], "n_max": r.params["n_max"]}
-        for a, r in sub]}
-    elapsed = int((time.perf_counter() - started) * 1000)
-    for a, r in sub:
-        if not r.passed:
-            witness = dict(r.witness or {})
-            witness["alpha"] = a
-            return CheckReport("thm11", params, order, "fail", witness, elapsed)
-    return CheckReport("thm11", params, order, "pass", elapsed_ms=elapsed)
+        part = check_progression(family, steps, task="thm11")
+        classes.append({"alpha": a, "residue": residue, "modulus": cls_mod,
+                        "n_max": steps})
+        if not part.passed:
+            failures.append(dict(part.witness, alpha=a))
+        reach = max(reach, part.order)
+    params = {"alphas": alphas, "classes": classes}
+    return CheckReport.from_failures("thm11", params, reach, failures)
 
 
 def _check_thm12(order: int = 300) -> CheckReport:
     """Exact identity: the C(5n+4) column equals 5 f_1^2 f_5 f_10^2 / f_2^4."""
-    started = time.perf_counter()
     c_series = named_series(SeriesName.C_CRANK, 5 * order + 5)
-    lhs = c_series.extract(5, 4)
     rhs = eta_series({1: 2, 5: 1, 10: 2, 2: -4}, order) * 5
-    diff = lhs.first_diff(rhs, upto=order)
-    elapsed = int((time.perf_counter() - started) * 1000)
     params = {"identity": "C(5n+4) = 5*f1^2*f5*f10^2/f2^4"}
-    if diff is None:
-        return CheckReport("thm12", params, order, "pass", elapsed_ms=elapsed)
-    witness = {"exponent": diff, "lhs": lhs._at(diff), "rhs": rhs._at(diff)}
-    return CheckReport("thm12", params, order, "fail", witness, elapsed)
+    return CheckReport.from_failures(
+        "thm12", params, order,
+        [first_mismatch(c_series.extract(5, 4), rhs, upto=order)])
 
 
-def _check_thm16(p: int = 13, n_max: int = 1) -> CheckReport:
+def _check_5p2_families(task: str, p: int, shift: int, weight: WeightKind,
+                        n_max: Optional[int], order: Optional[int]) -> CheckReport:
+    """Weighted sums of the reciprocal sequence vanish mod 5 on
+    5p^2 n + 5pr + shift for r = 1 .. p-1; the first r that fails is named
+    in the witness.  n_max defaults to 1."""
+    families = [CongruenceFamily(SeriesName.A_RECIP, 5, stride=5 * p * p,
+                                 offset=5 * p * r + shift, weight=weight, scale=5)
+                for r in range(1, p)]
+    last = families[-1]
+    n_max = _n_max_for(n_max, order, last.stride, last.offset, 1)
+    order = last.required_order(n_max)
+    series = named_series(SeriesName.A_RECIP, order)
+    params = {"p": p, "shift": shift, "n_max": n_max, "r_max": p - 1}
+    parts = (check_progression(family, n_max, series=series, task=task)
+             for family in families)
+    failures = (dict(part.witness, r=r)
+                for r, part in enumerate(parts, start=1) if not part.passed)
+    return CheckReport.from_failures(task, params, order, failures)
+
+
+def _check_thm16(p: int = 13, n_max: Optional[int] = None,
+                 order: Optional[int] = None) -> CheckReport:
     """Alternating-square sums of the reciprocal sequence vanish mod 5 on
     the progressions 5p^2 n + 5pr + (25p^2-1)/24, r = 1 .. p-1."""
     if not _is_prime(p) or p % 24 not in (13, 17, 19, 23):
         raise ValueError("p must be a prime in {13, 17, 19, 23} mod 24")
-    started = time.perf_counter()
     shift, rem = divmod(25 * p * p - 1, 24)
     assert rem == 0
-    order = 5 * p * p * n_max + 5 * p * (p - 1) + shift + 1
-    series = named_series(SeriesName.A_RECIP, order)
-    params = {"p": p, "shift": shift, "n_max": n_max, "r_max": p - 1}
-    for r in range(1, p):
-        family = CongruenceFamily(SeriesName.A_RECIP, 5,
-                                  stride=5 * p * p, offset=5 * p * r + shift,
-                                  weight=WeightKind.SQUARES_SUM, scale=5)
-        result = check_progression(family, n_max, series=series, task="thm16")
-        if not result.passed:
-            witness = dict(result.witness or {})
-            witness["r"] = r
-            elapsed = int((time.perf_counter() - started) * 1000)
-            return CheckReport("thm16", params, order, "fail", witness, elapsed)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return CheckReport("thm16", params, order, "pass", elapsed_ms=elapsed)
+    return _check_5p2_families("thm16", p, shift, WeightKind.SQUARES_SUM,
+                               n_max, order)
 
 
-def _check_cr2(p: int = 7, n_max: int = 1) -> CheckReport:
+def _check_cr2(p: int = 7, n_max: Optional[int] = None,
+               order: Optional[int] = None) -> CheckReport:
     """Alternating cubic-weighted sums of the reciprocal sequence vanish
     mod 5 on 5p^2 n + 5pr + (65p^2-41)/24, r = 1 .. p-1."""
     if not _is_prime(p) or p % 12 not in (7, 11):
         raise ValueError("p must be a prime in {7, 11} mod 12")
-    started = time.perf_counter()
     shift, rem = divmod(65 * p * p - 41, 24)
     assert rem == 0
-    order = 5 * p * p * n_max + 5 * p * (p - 1) + shift + 1
-    series = named_series(SeriesName.A_RECIP, order)
-    params = {"p": p, "shift": shift, "n_max": n_max, "r_max": p - 1}
-    for r in range(1, p):
-        family = CongruenceFamily(SeriesName.A_RECIP, 5,
-                                  stride=5 * p * p, offset=5 * p * r + shift,
-                                  weight=WeightKind.CUBIC_3K1_SUM, scale=5)
-        result = check_progression(family, n_max, series=series, task="cr2")
-        if not result.passed:
-            witness = dict(result.witness or {})
-            witness["r"] = r
-            elapsed = int((time.perf_counter() - started) * 1000)
-            return CheckReport("cr2", params, order, "fail", witness, elapsed)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return CheckReport("cr2", params, order, "pass", elapsed_ms=elapsed)
+    return _check_5p2_families("cr2", p, shift, WeightKind.CUBIC_3K1_SUM,
+                               n_max, order)
 
 
 def _check_a54(order: int = 150, n_max: int = 100) -> CheckReport:
     """The A(5n+4) column reduces to f_2^2 f_10^2 mod 5, hence the odd
     half A(10n+9) vanishes mod 5."""
-    started = time.perf_counter()
     big = named_series(SeriesName.A_CAP,
                        max(5 * order + 5, 10 * n_max + 10))
     params = {"order": order, "n_max": n_max}
-    column = big.extract(5, 4)
-    target = eta_series({2: 2, 10: 2}, order)
-    part1 = _mod_compare("a54", params, order, column, target, 5, started)
-    if not part1.passed:
-        return part1
+    column_diff = first_mismatch(big.extract(5, 4), eta_series({2: 2, 10: 2}, order),
+                                 modulus=5, upto=order)
     family = CongruenceFamily(SeriesName.A_CAP, 5, stride=10, offset=9)
-    part2 = check_progression(family, n_max, series=big, task="a54")
-    elapsed = int((time.perf_counter() - started) * 1000)
-    if part2.passed:
-        return CheckReport("a54", params, order, "pass", elapsed_ms=elapsed)
-    return CheckReport("a54", params, order, "fail", part2.witness, elapsed)
+    odd_half = check_progression(family, n_max, series=big, task="a54")
+    return CheckReport.from_failures("a54", params, order,
+                                     [column_diff, odd_half.witness])
 
 
 def _check_a51(order: int = 150) -> CheckReport:
     """The a(5n+1) column reduces to 3 f_1 f_2^2 mod 5."""
-    started = time.perf_counter()
-    big = named_series(SeriesName.A_RECIP, 5 * order + 2)
-    column = big.extract(5, 1)
+    column = named_series(SeriesName.A_RECIP, 5 * order + 2).extract(5, 1)
     target = eta_series({1: 1, 2: 2}, order) * 3
-    return _mod_compare("a51", {"order": order}, order, column, target, 5, started)
+    return CheckReport.from_failures(
+        "a51", {"order": order}, order,
+        [first_mismatch(column, target, modulus=5, upto=order)])
 
 
 def _check_f52(order: int = 100, n_max: int = 10,
@@ -510,32 +526,23 @@ def _check_f52(order: int = 100, n_max: int = 10,
     """
     if which not in ("both", "identity", "vanishing"):
         raise ValueError(f"unknown f52 selector {which!r}")
-    started = time.perf_counter()
     big = named_series(SeriesName.F_CONV,
                        max(5 * order + 3, 25 * n_max + 23))
     params = {"order": order, "n_max": n_max, "which": which}
     failures = []
     if which in ("both", "identity"):
-        column = big.extract(5, 2)
         target = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
                   + eta_series({10: 2, 2: -1, 5: -2}, order, shift=1) * (-5)
                   + eta_series({1: 2, 10: 8, 5: -4}, order, shift=2) * 5)
-        diff = column.reduce_mod(25).first_diff(target.reduce_mod(25), upto=order)
-        if diff is not None:
-            failures.append({"check": "identity", "exponent": diff,
-                             "lhs": column._at(diff) % 25,
-                             "rhs": target._at(diff) % 25})
+        diff = first_mismatch(big.extract(5, 2), target, modulus=25, upto=order)
+        if diff:
+            failures.append({"check": "identity", **diff})
     if which in ("both", "vanishing"):
         family = CongruenceFamily(SeriesName.F_CONV, 25, stride=25, offset=22)
         part = check_progression(family, n_max, series=big, task="f52")
         if not part.passed:
-            witness = dict(part.witness or {})
-            witness["check"] = "vanishing"
-            failures.append(witness)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    if failures:
-        return CheckReport("f52", params, order, "fail", failures[0], elapsed)
-    return CheckReport("f52", params, order, "pass", elapsed_ms=elapsed)
+            failures.append(dict(part.witness, check="vanishing"))
+    return CheckReport.from_failures("f52", params, order, failures)
 
 
 def _check_f52_corrected(order: int = 100) -> CheckReport:
@@ -545,137 +552,105 @@ def _check_f52_corrected(order: int = 100) -> CheckReport:
     - 5q f_1^5 f_10^6/(f_2^6 f_5^3) + 5q^2 f_1^7 f_10^10/(f_2^10 f_5^5).
     Mod 25: the middle term collapses to -5q f_10^5/(f_2 f_5^2).
     """
-    started = time.perf_counter()
-    big = named_series(SeriesName.F_CONV, 5 * order + 3)
-    column = big.extract(5, 2)
-    params = {"order": order}
-    failures = []
+    column = named_series(SeriesName.F_CONV, 5 * order + 3).extract(5, 2)
     exact = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
              + eta_series({1: 5, 10: 6, 2: -6, 5: -3}, order, shift=1) * (-5)
              + eta_series({1: 7, 10: 10, 2: -10, 5: -5}, order, shift=2) * 5)
-    diff = column.first_diff(exact, upto=order)
-    if diff is not None:
-        failures.append({"check": "exact", "exponent": diff,
-                         "lhs": column._at(diff), "rhs": exact._at(diff)})
     reduced = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
                + eta_series({10: 5, 2: -1, 5: -2}, order, shift=1) * (-5)
                + eta_series({1: 2, 10: 8, 5: -4}, order, shift=2) * 5)
-    diff = column.reduce_mod(25).first_diff(reduced.reduce_mod(25), upto=order)
-    if diff is not None:
-        failures.append({"check": "mod25", "exponent": diff,
-                         "lhs": column._at(diff) % 25,
-                         "rhs": reduced._at(diff) % 25})
-    elapsed = int((time.perf_counter() - started) * 1000)
-    if failures:
-        return CheckReport("f52-corrected", params, order, "fail",
-                           failures[0], elapsed)
-    return CheckReport("f52-corrected", params, order, "pass", elapsed_ms=elapsed)
+    failures = []
+    for check, target, modulus in (("exact", exact, None), ("mod25", reduced, 25)):
+        diff = first_mismatch(column, target, modulus=modulus, upto=order)
+        if diff:
+            failures.append({"check": check, **diff})
+    return CheckReport.from_failures("f52-corrected", {"order": order}, order,
+                                     failures)
 
 
-def _check_oracle_crank(n_max: int = 40) -> CheckReport:
+def _oracle_n_max(which: str, n_max: Optional[int], order: Optional[int]) -> int:
+    return _n_max_for(n_max, order, 1, 0, ORACLES[which].default_n_max)
+
+
+def _check_oracle_crank(n_max: Optional[int] = None,
+                        order: Optional[int] = None) -> CheckReport:
     """Enumeration oracle against the series coefficients, excluding the
     documented n = 1 discrepancy (enumeration -1 vs coefficient -3)."""
-    started = time.perf_counter()
-    series = named_series(SeriesName.C_CRANK, n_max + 1)
-    anomaly = {"n": 1, "enumeration": crank_parity_oracle(1),
-               "coefficient": series.coeff(1)} if n_max >= 1 else None
-    params = {"n_max": n_max, "excluded": [1], "n1_discrepancy": anomaly}
-    for n in range(n_max + 1):
-        if n == 1:
-            continue
-        enum = crank_parity_oracle(n)
-        coef = series.coeff(n)
-        if enum != coef:
-            witness = {"n": n, "enumeration": enum, "coefficient": coef}
-            elapsed = int((time.perf_counter() - started) * 1000)
-            return CheckReport("oracle-crank", params, n_max + 1, "fail",
-                               witness, elapsed)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return CheckReport("oracle-crank", params, n_max + 1, "pass",
-                       elapsed_ms=elapsed)
+    n_max = _oracle_n_max("crank", n_max, order)
+    rows, mismatches = oracle_rows("crank", n_max)
+    params = {"n_max": n_max, "excluded": list(ORACLES["crank"].excluded),
+              "n1_discrepancy": rows[1] if n_max >= 1 else None}
+    return CheckReport.from_failures("oracle-crank", params, n_max + 1, mismatches)
 
 
-def _check_oracle_colored(n_max: int = 35) -> CheckReport:
+def _check_oracle_colored(n_max: Optional[int] = None,
+                          order: Optional[int] = None) -> CheckReport:
     """Colored-partition enumeration against the reciprocal series."""
-    started = time.perf_counter()
-    series = named_series(SeriesName.A_RECIP, n_max + 1)
-    params = {"n_max": n_max}
-    for n in range(n_max + 1):
-        enum = colored_partition_oracle(n)
-        coef = series.coeff(n)
-        if enum != coef:
-            witness = {"n": n, "enumeration": enum, "coefficient": coef}
-            elapsed = int((time.perf_counter() - started) * 1000)
-            return CheckReport("oracle-colored", params, n_max + 1, "fail",
-                               witness, elapsed)
-    elapsed = int((time.perf_counter() - started) * 1000)
-    return CheckReport("oracle-colored", params, n_max + 1, "pass",
-                       elapsed_ms=elapsed)
+    n_max = _oracle_n_max("colored", n_max, order)
+    _, mismatches = oracle_rows("colored", n_max)
+    return CheckReport.from_failures("oracle-colored", {"n_max": n_max},
+                                     n_max + 1, mismatches)
 
 
-_PROGRESSION_FAMILIES: dict[str, CongruenceFamily] = {
-    "thm13": CongruenceFamily(SeriesName.C_CRANK, 5, stride=50, offset=49,
-                              weight=WeightKind.PENT_6K1_SUM, scale=25,
-                              pre_divisor=5),
-    "thm14": CongruenceFamily(SeriesName.A_RECIP, 7, stride=7, offset=2),
-    "thm15a": CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
-                               weight=WeightKind.TRIANGULAR_SUM, scale=5),
-    "thm15b": CongruenceFamily(SeriesName.C_CRANK, 25, stride=125, offset=114,
-                               weight=WeightKind.TRIANGULAR_SUM, scale=5,
-                               pre_divisor=5),
-    "cr1": CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=21,
-                            weight=WeightKind.PENT_6K1_SUM, scale=5),
-    "smoke5": CongruenceFamily(SeriesName.P_PARTITION, 5, stride=5, offset=4),
-    "smoke7": CongruenceFamily(SeriesName.P_PARTITION, 7, stride=7, offset=5),
-    "smoke11": CongruenceFamily(SeriesName.P_PARTITION, 11, stride=11, offset=6),
+# task id -> (family, default n_max)
+_PROGRESSIONS: dict[str, tuple[CongruenceFamily, int]] = {
+    "thm13": (CongruenceFamily(SeriesName.C_CRANK, 5, stride=50, offset=49,
+                               weight=WeightKind.PENT_6K1_SUM, scale=25,
+                               pre_divisor=5), 10),
+    "thm14": (CongruenceFamily(SeriesName.A_RECIP, 7, stride=7, offset=2), 100),
+    "thm15a": (CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
+                                weight=WeightKind.TRIANGULAR_SUM, scale=5), 20),
+    "thm15b": (CongruenceFamily(SeriesName.C_CRANK, 25, stride=125, offset=114,
+                                weight=WeightKind.TRIANGULAR_SUM, scale=5,
+                                pre_divisor=5), 7),
+    "cr1": (CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=21,
+                             weight=WeightKind.PENT_6K1_SUM, scale=5), 20),
+    "smoke5": (CongruenceFamily(SeriesName.P_PARTITION, 5, stride=5, offset=4), 100),
+    "smoke7": (CongruenceFamily(SeriesName.P_PARTITION, 7, stride=7, offset=5), 100),
+    "smoke11": (CongruenceFamily(SeriesName.P_PARTITION, 11, stride=11, offset=6),
+                100),
 }
 
-_PROGRESSION_DEFAULT_N_MAX = {
-    "thm13": 10, "thm14": 100, "thm15a": 20, "thm15b": 7, "cr1": 20,
-    "smoke5": 100, "smoke7": 100, "smoke11": 100,
+
+def _check_family(tid: str, n_max: Optional[int] = None,
+                  order: Optional[int] = None) -> CheckReport:
+    family, default = _PROGRESSIONS[tid]
+    steps = _n_max_for(n_max, order, family.stride, family.offset, default)
+    return check_progression(family, steps, task=tid)
+
+
+_THEOREMS: dict[str, Callable[..., CheckReport]] = {
+    **{tid: partial(_check_family, tid) for tid in _PROGRESSIONS},
+    "thm11": _check_thm11,
+    "thm12": _check_thm12,
+    "thm16": _check_thm16,
+    "cr2": _check_cr2,
+    "ch-d": partial(cooper_hirschhorn_check, SeriesName.D_CH, p=7),
+    "ch-h": partial(cooper_hirschhorn_check, SeriesName.H_CH, p=13),
+    "a54": _check_a54,
+    "a51": _check_a51,
+    "f52": _check_f52,
+    "f52-corrected": _check_f52_corrected,
+    "oracle-crank": _check_oracle_crank,
+    "oracle-colored": _check_oracle_colored,
 }
 
 
 def theorem_ids() -> list[str]:
     """Stable ids accepted by :func:`check_theorem`."""
-    return sorted(list(_PROGRESSION_FAMILIES) + [
-        "thm11", "thm12", "thm16", "cr2", "ch-d", "ch-h",
-        "a54", "a51", "f52", "f52-corrected", "oracle-crank", "oracle-colored",
-    ])
+    return sorted(_THEOREMS)
 
 
 def check_theorem(theorem_id: str, **params) -> CheckReport:
     """Run one named verification task and return its report.
 
-    Progression tasks accept ``n_max``; identity tasks accept ``order``;
-    the prime-indexed families also accept ``p``.  Unknown keywords for
-    a task raise TypeError, unknown ids raise ValueError.
+    Identity tasks accept ``order``; scanning tasks accept ``n_max``, or
+    ``order`` to scan every step whose index stays below it; the
+    prime-indexed families also accept ``p`` and thm11 ``alpha``.
+    Unknown keywords for a task raise TypeError, unknown ids raise
+    ValueError.
     """
-    if theorem_id in _PROGRESSION_FAMILIES:
-        family = _PROGRESSION_FAMILIES[theorem_id]
-        n_max = params.pop("n_max", _PROGRESSION_DEFAULT_N_MAX[theorem_id])
-        if params:
-            raise TypeError(f"unexpected parameters {sorted(params)} for {theorem_id}")
-        return check_progression(family, n_max, task=theorem_id)
-    dispatch = {
-        "thm11": _check_thm11,
-        "thm12": _check_thm12,
-        "thm16": _check_thm16,
-        "cr2": _check_cr2,
-        "ch-d": lambda **kw: cooper_hirschhorn_check(SeriesName.D_CH,
-                                                     kw.pop("p", 7),
-                                                     kw.pop("n_max", 100), **kw),
-        "ch-h": lambda **kw: cooper_hirschhorn_check(SeriesName.H_CH,
-                                                     kw.pop("p", 13),
-                                                     kw.pop("n_max", 100), **kw),
-        "a54": _check_a54,
-        "a51": _check_a51,
-        "f52": _check_f52,
-        "f52-corrected": _check_f52_corrected,
-        "oracle-crank": _check_oracle_crank,
-        "oracle-colored": _check_oracle_colored,
-    }
-    runner = dispatch.get(theorem_id)
+    runner = _THEOREMS.get(theorem_id)
     if runner is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     return runner(**params)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import re
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Union
 
-from .report import CheckReport
+from .report import CheckReport, first_mismatch
 from .series import Series
 
 __all__ = [
@@ -275,17 +274,11 @@ def binomial_congruence_check(m: int, k: int, order: int) -> CheckReport:
     """Verify f_m^(5^k) = f_{5m}^(5^(k-1)) mod 5^k coefficient-wise."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
-    start = time.perf_counter()
     modulus = 5 ** k
-    lhs = eta_series({m: 5 ** k}, order).reduce_mod(modulus)
-    rhs = eta_series({5 * m: 5 ** (k - 1)}, order).reduce_mod(modulus)
-    diff = lhs.first_diff(rhs)
-    elapsed = int((time.perf_counter() - start) * 1000)
+    diff = first_mismatch(eta_series({m: 5 ** k}, order),
+                          eta_series({5 * m: 5 ** (k - 1)}, order), modulus=modulus)
     params = {"m": m, "k": k, "modulus": modulus}
-    if diff is None:
-        return CheckReport("binom", params, order, "pass", elapsed_ms=elapsed)
-    witness = {"exponent": diff, "lhs": lhs._at(diff), "rhs": rhs._at(diff)}
-    return CheckReport("binom", params, order, "fail", witness, elapsed)
+    return CheckReport.from_failures("binom", params, order, [diff])
 
 
 _QUOTIENT_TOKEN = re.compile(r"^(?:q\^(-?\d+)|f(\d+)(?:\^(-?\d+))?)$")

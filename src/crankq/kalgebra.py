@@ -21,11 +21,10 @@ in the Laurent ring.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .etaq import SeriesName, named_series, rr_series, rr_stretch
-from .report import CheckReport
+from .report import CheckReport, first_mismatch
 from .series import Series
 
 __all__ = [
@@ -261,20 +260,11 @@ def eval_at_K(p: KPolynomial, order: int) -> Series:
     return total.truncate(order)
 
 
-def _report(task: str, params: dict, order: int, started: float,
-            failures: list[dict]) -> CheckReport:
-    elapsed = int((time.perf_counter() - started) * 1000)
-    if failures:
-        return CheckReport(task, params, order, "fail", failures[0], elapsed)
-    return CheckReport(task, params, order, "pass", elapsed_ms=elapsed)
-
-
 def verify_recurrences(m_max: int = 4, n_min: int = -3, n_max: int = 3,
                        which: str = "both") -> CheckReport:
     """Exact symbolic closure of the two P(m,n) recurrences on a grid."""
     if which not in ("both", "35", "36"):
         raise ValueError(f"unknown recurrence selector {which!r}")
-    started = time.perf_counter()
     failures = []
     for m in range(m_max + 1):
         for n in range(n_min, n_max + 1):
@@ -290,25 +280,21 @@ def verify_recurrences(m_max: int = 4, n_min: int = -3, n_max: int = 3,
                     failures.append({"recurrence": "m-step", "m": m, "n": n})
     task = "rec35" if which == "35" else "rec36" if which == "36" else "recurrences"
     params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
-    return _report(task, params, 0, started, failures)
+    return CheckReport.from_failures(task, params, 0, failures)
 
 
 def verify_series_agreement(order: int = 100, m_max: int = 3,
                             n_min: int = -2, n_max: int = 2) -> CheckReport:
     """eval_at_K(pmn) against the direct R-series evaluation on a grid."""
-    started = time.perf_counter()
     failures = []
     for m in range(m_max + 1):
         for n in range(n_min, n_max + 1):
-            symbolic = eval_at_K(pmn(m, n), order)
-            direct = pmn_series(m, n, order)
-            diff = symbolic.first_diff(direct)
-            if diff is not None:
-                failures.append({"m": m, "n": n, "exponent": diff,
-                                 "symbolic": symbolic._at(diff),
-                                 "direct": direct._at(diff)})
+            diff = first_mismatch(eval_at_K(pmn(m, n), order), pmn_series(m, n, order),
+                                  keys=("symbolic", "direct"))
+            if diff:
+                failures.append({"m": m, "n": n, **diff})
     params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
-    return _report("pmn-eval", params, order, started, failures)
+    return CheckReport.from_failures("pmn-eval", params, order, failures)
 
 
 def combo_sides() -> tuple[KPolynomial, KPolynomial]:
@@ -331,14 +317,13 @@ def verify_combo_identity(order: int = 100) -> CheckReport:
     1 + P(0,-1) = (K-4)/K and 1 - 2P(0,-1) - 2P(1,0) = 1 + 8K^-1 - 2K,
     both cleared of denominators before comparison.
     """
-    started = time.perf_counter()
     failures = []
     lhs, rhs = combo_sides()
     if lhs != rhs:
         failures.append({"check": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
-    diff = eval_at_K(lhs, order).first_diff(eval_at_K(rhs, order))
-    if diff is not None:
-        failures.append({"check": "series", "exponent": diff})
+    diff = first_mismatch(eval_at_K(lhs, order), eval_at_K(rhs, order))
+    if diff:
+        failures.append({"check": "series", "exponent": diff["exponent"]})
     micro1_lhs = 1 + pmn(0, -1)
     micro1_rhs = (K - 4) * KPolynomial.monomial(1, -1)
     if micro1_lhs != micro1_rhs:
@@ -349,4 +334,4 @@ def verify_combo_identity(order: int = 100) -> CheckReport:
     if micro2_lhs != micro2_rhs:
         failures.append({"check": "micro2", "lhs": str(micro2_lhs),
                          "rhs": str(micro2_rhs)})
-    return _report("combo456", {}, order, started, failures)
+    return CheckReport.from_failures("combo456", {}, order, failures)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-__all__ = ["CheckReport"]
+if TYPE_CHECKING:
+    from .series import Series
+
+__all__ = ["CheckReport", "first_mismatch"]
 
 
 @dataclass(frozen=True)
@@ -16,6 +19,8 @@ class CheckReport:
     ``witness`` is present exactly when the task failed and points at the
     smallest offending index (exponent, progression step, grid point ...)
     together with whatever residue or mismatch was observed there.
+    ``elapsed_ms`` is measured by :func:`crankq.tasks.run_task`; a report
+    returned by calling a check function directly carries 0.
     """
 
     task: str
@@ -30,6 +35,18 @@ class CheckReport:
             raise ValueError(f"outcome must be 'pass' or 'fail', got {self.outcome!r}")
         if self.outcome == "fail" and self.witness is None:
             raise ValueError("a failing report must carry a witness")
+
+    @classmethod
+    def from_failures(cls, task: str, params: dict[str, Any], order: int,
+                      failures: Iterable[Optional[dict[str, Any]]]) -> CheckReport:
+        """Fail with the first failure as the witness, else pass.
+
+        None entries stand for checks that passed.  Failures are drawn only
+        up to the first, so a generator of failures stops there.
+        """
+        witness = next(filter(None, failures), None)
+        return cls(task, params, order, "pass" if witness is None else "fail",
+                   witness)
 
     @property
     def passed(self) -> bool:
@@ -63,3 +80,19 @@ class CheckReport:
             bits.append("witness=" + json.dumps(self.witness, sort_keys=False))
         bits.append(f"[{self.elapsed_ms} ms]")
         return " ".join(bits)
+
+
+def first_mismatch(lhs: Series, rhs: Series, keys: tuple[str, str] = ("lhs", "rhs"),
+                   modulus: Optional[int] = None,
+                   upto: Optional[int] = None) -> Optional[dict[str, int]]:
+    """Witness at the lowest exponent where two series differ, or None.
+
+    With ``modulus`` both sides are compared, and reported, as least
+    non-negative residues.  ``keys`` name the two reported values.
+    """
+    if modulus is not None:
+        lhs, rhs = lhs.reduce_mod(modulus), rhs.reduce_mod(modulus)
+    diff = lhs.first_diff(rhs, upto=upto)
+    if diff is None:
+        return None
+    return {"exponent": diff, keys[0]: lhs._at(diff), keys[1]: rhs._at(diff)}

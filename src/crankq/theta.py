@@ -10,12 +10,11 @@ parameter K = f_2 f_5^5 / (q f_1 f_10^5).
 
 from __future__ import annotations
 
-import time
 from enum import Enum
 from typing import Callable
 
 from .etaq import SeriesName, eta_series, named_series, rr_stretch
-from .report import CheckReport
+from .report import CheckReport, first_mismatch
 from .series import Series
 
 __all__ = [
@@ -90,26 +89,12 @@ def theta_sum(kind: ThetaKind, order: int) -> Series:
     return Series.from_terms(terms, order)
 
 
-def _timed_report(task: str, params: dict, order: int, started: float,
-                  failures: list[dict]) -> CheckReport:
-    elapsed = int((time.perf_counter() - started) * 1000)
-    if failures:
-        return CheckReport(task, params, order, "fail", failures[0], elapsed)
-    return CheckReport(task, params, order, "pass", elapsed_ms=elapsed)
-
-
 def verify_theta_identity(kind: ThetaKind, order: int) -> CheckReport:
     """Compare the closed-form sum against its eta quotient up to order."""
-    started = time.perf_counter()
-    summed = theta_sum(kind, order)
-    quotient = eta_series(_DEFS[kind][3], order)
-    diff = summed.first_diff(quotient)
-    failures = []
-    if diff is not None:
-        failures.append({"exponent": diff, "sum": summed._at(diff),
-                         "quotient": quotient._at(diff)})
-    return _timed_report(f"theta-{kind.value}", {"kind": kind.value}, order,
-                         started, failures)
+    diff = first_mismatch(theta_sum(kind, order), eta_series(_DEFS[kind][3], order),
+                          keys=("sum", "quotient"))
+    return CheckReport.from_failures(f"theta-{kind.value}", {"kind": kind.value},
+                                     order, [diff])
 
 
 def _bracket(r5: Series, inv5: Series,
@@ -140,6 +125,18 @@ def five_dissection_sides(order: int) -> dict[str, tuple[Series, Series]]:
     return {"31": (lhs1, rhs1), "32": (lhs2, rhs2)}
 
 
+def _identity_failures(sides: dict[str, tuple[Series, Series]],
+                       which: str) -> list[dict]:
+    """Witnesses of the labelled identities ``which`` selects, in label order."""
+    failures = []
+    for label, (lhs, rhs) in sides.items():
+        if which in ("both", label):
+            diff = first_mismatch(lhs, rhs)
+            if diff:
+                failures.append({"identity": label, **diff})
+    return failures
+
+
 def verify_5dissections(order: int, which: str = "both") -> CheckReport:
     """Check the quintic dissection identities as exact series equalities.
 
@@ -150,19 +147,9 @@ def verify_5dissections(order: int, which: str = "both") -> CheckReport:
         raise ValueError("order must be >= 25 so f_25 contributes")
     if which not in ("both", "31", "32"):
         raise ValueError(f"unknown dissection selector {which!r}")
-    started = time.perf_counter()
-    sides = five_dissection_sides(order)
-    failures = []
-    for label in ("31", "32"):
-        if which not in ("both", label):
-            continue
-        lhs, rhs = sides[label]
-        diff = lhs.first_diff(rhs)
-        if diff is not None:
-            failures.append({"identity": label, "exponent": diff,
-                             "lhs": lhs._at(diff), "rhs": rhs._at(diff)})
+    failures = _identity_failures(five_dissection_sides(order), which)
     task = "dis31" if which == "31" else "dis32" if which == "32" else "dissections"
-    return _timed_report(task, {"which": which}, order, started, failures)
+    return CheckReport.from_failures(task, {"which": which}, order, failures)
 
 
 def verify_K_identities(order: int, which: str = "both") -> CheckReport:
@@ -171,19 +158,11 @@ def verify_K_identities(order: int, which: str = "both") -> CheckReport:
         raise ValueError("order must be >= 10")
     if which not in ("both", "33", "34"):
         raise ValueError(f"unknown K-identity selector {which!r}")
-    started = time.perf_counter()
     k_series = named_series(SeriesName.K_PARAM, order)
     targets = {
         "33": (k_series + 1, eta_series({1: -2, 2: 4, 5: 2, 10: -4}, order, shift=-1)),
         "34": (k_series - 4, eta_series({1: 3, 2: -1, 5: 1, 10: -3}, order, shift=-1)),
     }
-    failures = []
-    for label, (lhs, rhs) in targets.items():
-        if which not in ("both", label):
-            continue
-        diff = lhs.first_diff(rhs)
-        if diff is not None:
-            failures.append({"identity": label, "exponent": diff,
-                             "lhs": lhs._at(diff), "rhs": rhs._at(diff)})
+    failures = _identity_failures(targets, which)
     task = "k33" if which == "33" else "k34" if which == "34" else "k-identities"
-    return _timed_report(task, {"which": which}, order, started, failures)
+    return CheckReport.from_failures(task, {"which": which}, order, failures)

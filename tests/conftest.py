@@ -1,6 +1,7 @@
 import pytest
 
 from crankq.etaq import named_series
+from crankq.tasks import WARM_ORDERS
 
 
 def pytest_configure(config):
@@ -11,6 +12,5 @@ def pytest_configure(config):
 def warm_shared_series():
     # Compute the big shared series once at their suite-wide maxima so
     # individual tests reuse the cache instead of growing it piecemeal.
-    named_series("C", 2520)
-    named_series("a", 1802)
-    named_series("p", 1107)
+    for name, n in WARM_ORDERS.items():
+        named_series(name, n)

@@ -130,3 +130,56 @@ def test_verify_json_carries_full_serialization(capsys):
     payload = json.loads(out)
     assert list(payload) == ["task", "params", "order", "outcome", "witness",
                              "elapsed_ms"]
+
+
+def test_verify_all_finishes_every_task_after_usage_errors(capsys):
+    from crankq.tasks import task_ids
+    code, out, err = run(capsys, "verify", "--all", "--order", "5")
+    assert code == 2
+    assert "error: dis31: order must be >= 25" in err
+    reported = {line.split()[1] for line in out.splitlines()}
+    errored = {line.split(":")[1].strip() for line in err.splitlines()}
+    assert reported | errored == set(task_ids())
+    assert reported and errored and not reported & errored
+    # a usage error outranks a failed check
+    code, out, err = run(capsys, "verify", "--theorem", "f52",
+                         "--theorem", "dis31", "--order", "20")
+    assert code == 2
+    assert "FAIL f52" in out and "error: dis31:" in err
+
+
+def test_verify_thm11_honours_order(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "thm11", "--order", "50",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["n_max"] for c in payload["params"]["classes"]] == [9, 0]
+    assert payload["order"] == 100     # index 99 of the alpha = 1 class
+    code, out, _ = run(capsys, "verify", "--theorem", "thm11", "--format", "json")
+    payload = json.loads(out)
+    assert [c["n_max"] for c in payload["params"]["classes"]] == [200, 8]
+    assert payload["order"] == 1100
+
+
+@pytest.mark.parametrize("tid, default_n_max", [("oracle-crank", 40),
+                                                ("oracle-colored", 35)])
+def test_verify_oracle_honours_order(capsys, tid, default_n_max):
+    code, out, _ = run(capsys, "verify", "--theorem", tid, "--order", "10",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["params"]["n_max"], payload["order"]) == (9, 10)
+    code, out, _ = run(capsys, "verify", "--theorem", tid, "--format", "json")
+    assert json.loads(out)["params"]["n_max"] == default_n_max
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--order", "100")
+    assert code == 2 and out == ""
+    assert f"error: {tid}: n_max = 99 exceeds" in err and "enumeration cap" in err
+
+
+@pytest.mark.parametrize("tid, flag, name", [("thm12", "--p", "p"),
+                                             ("binom", "--alpha", "alpha"),
+                                             ("dis31", "--n-max", "n_max")])
+def test_verify_unsupported_parameter_is_usage_error(capsys, tid, flag, name):
+    code, out, err = run(capsys, "verify", "--theorem", tid, flag, "3")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {tid}: unsupported parameter '{name}'"
