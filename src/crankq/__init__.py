@@ -5,8 +5,8 @@ The package revolves around four layers:
 * :mod:`crankq.series` -- truncated Laurent series over exact integers,
   the value type everything else computes with;
 * :mod:`crankq.etaq` and :mod:`crankq.theta` -- the named generating
-  functions (Euler products, residue-class products, closed theta-style
-  sums) and the classical identities relating them;
+  functions (products of sparse theta factors, closed theta-style sums)
+  and the classical identities relating them;
 * :mod:`crankq.kalgebra` -- the symbolic Laurent algebra in the
   parameter K and the P(m,n) recurrence system, cross-validated against
   direct series evaluation;
@@ -18,10 +18,9 @@ The package revolves around four layers:
 from .errors import (CrankqError, EnumerationCapExceeded, InexactDivision,
                      NonUnitLeadingCoefficient, OrderExceeded)
 from .series import Series
-from .etaq import (EtaQuotientSpec, ResidueProductSpec, SeriesName,
-                   binomial_congruence_check, eta_quotient, eta_series,
-                   named_series, parse_quotient, residue_product, rr_series,
-                   rr_stretch)
+from .etaq import (EtaQuotientSpec, SeriesName, binomial_congruence_check,
+                   eta_quotient, eta_series, named_series, parse_quotient,
+                   rr_series, rr_stretch)
 from .theta import (ThetaKind, theta_sum, verify_5dissections,
                     verify_K_identities, verify_theta_identity)
 from .kalgebra import (K, KPolynomial, PmnIndex, eval_at_K, pmn, pmn_series,
@@ -41,9 +40,9 @@ __all__ = [
     "CrankqError", "EnumerationCapExceeded", "InexactDivision",
     "NonUnitLeadingCoefficient", "OrderExceeded",
     "Series",
-    "EtaQuotientSpec", "ResidueProductSpec", "SeriesName",
+    "EtaQuotientSpec", "SeriesName",
     "binomial_congruence_check", "eta_quotient", "eta_series", "named_series",
-    "parse_quotient", "residue_product", "rr_series", "rr_stretch",
+    "parse_quotient", "rr_series", "rr_stretch",
     "ThetaKind", "theta_sum", "verify_5dissections", "verify_K_identities",
     "verify_theta_identity",
     "K", "KPolynomial", "PmnIndex", "eval_at_K", "pmn", "pmn_series",

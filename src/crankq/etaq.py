@@ -1,11 +1,13 @@
-"""Generating functions built from Euler products.
+"""Generating functions built as products of sparse theta factors.
 
 The building blocks are the functions ``f_m = prod_{n>=1} (1 - q^{m n})``.
 An :class:`EtaQuotientSpec` names a formal product
-``q^shift * prod f_m^{e_m}``; a :class:`ResidueProductSpec` names a
-product of ``(1 - q^n)`` over residue classes of n, which is how the
-Rogers-Ramanujan continued fraction R(q) enters (without its classical
-fractional power of q).
+``q^shift * prod f_m^{e_m}``.  Every named series and the
+Rogers-Ramanujan product R(q) (without its classical fractional power
+of q) are built from one family of sparse factors
+``sum_k (-1)^k q^(k(pk - r)/2)``: a factor to the power e is |e|
+:func:`~crankq.series.sparse_pass` passes over a dense coefficient list,
+and a negative power divides.
 
 :func:`named_series` exposes the closed registry of sequences the
 verification tasks talk about: the partition numbers, the crank parity
@@ -19,18 +21,22 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Union
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .report import CheckReport, first_mismatch
-from .series import Series
+from .series import Series, sparse_pass
 
 __all__ = [
     "EtaQuotientSpec",
-    "ResidueProductSpec",
     "SeriesName",
     "eta_quotient",
     "eta_series",
-    "residue_product",
+    "theta_terms",
+    "eta_factors",
+    "rr_factors",
+    "factor_product",
+    "power_sum",
     "rr_series",
     "rr_stretch",
     "named_series",
@@ -73,26 +79,6 @@ class EtaQuotientSpec:
         return " * ".join(bits) if bits else "1"
 
 
-@dataclass(frozen=True)
-class ResidueProductSpec:
-    """Product of (1 - q^n)^e over n in fixed residue classes mod ``modulus``."""
-
-    modulus: int
-    terms: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        for r, _ in self.terms:
-            if not 1 <= r <= self.modulus:
-                raise ValueError(f"residue {r} not in [1, {self.modulus}]")
-
-    @classmethod
-    def make(cls, modulus: int,
-             terms: Iterable[tuple[int, int]]) -> "ResidueProductSpec":
-        return cls(modulus=modulus, terms=tuple(terms))
-
-
 class SeriesName(Enum):
     """Closed registry of named sequences; values double as CLI aliases."""
 
@@ -119,7 +105,7 @@ def resolve_name(name: Union[SeriesName, str]) -> SeriesName:
         raise ValueError(f"unknown series name {name!r}") from None
 
 
-_NAMED_SPECS: dict[SeriesName, EtaQuotientSpec] = {
+NAMED_SPECS: dict[SeriesName, EtaQuotientSpec] = {
     SeriesName.P_PARTITION: EtaQuotientSpec.make({1: -1}),
     SeriesName.C_CRANK: EtaQuotientSpec.make({1: 3, 2: -2}),
     SeriesName.A_RECIP: EtaQuotientSpec.make({1: -3, 2: 2}),
@@ -129,76 +115,88 @@ _NAMED_SPECS: dict[SeriesName, EtaQuotientSpec] = {
     SeriesName.A_CAP: EtaQuotientSpec.make({1: 2, 2: -4, 5: 6}),
 }
 
-_RR_SPEC = ResidueProductSpec.make(5, [(1, 1), (4, 1), (2, -1), (3, -1)])
+# A factor (p, r, e) is (sum_k (-1)^k q^(k(pk - r)/2))^e over all integers
+# k, with 0 < r < p and p = r mod 2.  By the Jacobi triple product f_m is
+# (3m, m, 1), and R(q^m) = f(-q^m, -q^4m) / f(-q^2m, -q^3m) is (5m, 3m, 1)
+# times (5m, m, -1).
+Factor = tuple[int, int, int]
 
 
-def _euler_factor(m: int, order: int) -> Series:
-    """f_m expanded by the pentagonal number theorem (sparse, O(sqrt N) terms)."""
-    terms = {0: 1}
-    k = 1
-    while True:
-        lo = m * k * (3 * k - 1) // 2
-        if lo >= order:
-            break
-        sign = -1 if k % 2 else 1
-        terms[lo] = sign
-        hi = m * k * (3 * k + 1) // 2
-        if hi < order:
-            terms[hi] = sign
-        k += 1
-    return Series.from_terms(terms, order)
+def theta_terms(p: int, r: int, order: int) -> list[tuple[int, int]]:
+    """The k != 0 terms (exponent, sign) of sum_k (-1)^k q^(k(pk - r)/2) below
+    ``order``, ascending: k = j comes before k = -j, which comes before k = j + 1."""
+    if not 0 < r < p or (p - r) % 2:
+        raise ValueError(f"theta factor ({p}, {r}) needs 0 < r < p and p = r mod 2")
+    terms = []
+    j = 1
+    while j * (p * j - r) // 2 < order:
+        sign = -1 if j % 2 else 1
+        terms.append((j * (p * j - r) // 2, sign))
+        if j * (p * j + r) // 2 < order:
+            terms.append((j * (p * j + r) // 2, sign))
+        j += 1
+    return terms
+
+
+def eta_factors(spec: EtaQuotientSpec) -> list[Factor]:
+    """The factors of an eta quotient, without its shift."""
+    return [(3 * m, m, e) for m, e in spec.factors]
+
+
+def rr_factors(m: int, e: int = 1) -> list[Factor]:
+    """The factors of R(q^m)^e."""
+    return [(5 * m, 3 * m, e), (5 * m, m, -e)]
+
+
+def _apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
+    """Multiply a dense coefficient list in place by a product of factors."""
+    for p, r, e in factors:
+        sparse_pass(coeffs, theta_terms(p, r, len(coeffs)), e)
+
+
+def factor_product(factors: Iterable[Factor], order: int, shift: int = 0) -> Series:
+    """q^shift times a product of factors, exact below ``order``."""
+    if order <= shift:
+        raise ValueError(f"order {order} must exceed the shift {shift}")
+    coeffs = [1] + [0] * (order - shift - 1)
+    _apply_factors(coeffs, factors)
+    return Series(shift, coeffs, order)
+
+
+def power_sum(terms: Iterable[tuple[int, int, int]], factors: Sequence[Factor],
+              order: int) -> Series:
+    """Sum of c * q^s * X^p over (s, c, p) terms, X the product of ``factors``.
+
+    The powers of X are climbed one at a time from the lowest one, so a
+    run of consecutive powers costs one set of passes per step.
+    """
+    terms = sorted(terms, key=lambda t: t[2])
+    if not terms:
+        return Series.zero(order)
+    low = min(s for s, _, _ in terms)
+    if low >= order:
+        return Series.zero(order)
+    out = [0] * (order - low)
+    power = terms[0][2]
+    x = [1] + [0] * (order - low - 1)
+    _apply_factors(x, [(p, r, e * power) for p, r, e in factors])
+    for s, c, p in terms:
+        if p > power:
+            _apply_factors(x, [(pp, r, e * (p - power)) for pp, r, e in factors])
+            power = p
+        out[s - low:] = [o + c * y for o, y in zip(out[s - low:], x)]
+    return Series(low, out, order)
 
 
 def eta_quotient(spec: EtaQuotientSpec, order: int) -> Series:
-    """Expand q^shift * prod f_m^{e_m} exactly below ``order``.
-
-    Denominator factors are collected into a single product that is
-    inverted once, so there is exactly one inversion path to audit.
-    """
-    if order <= spec.shift:
-        raise ValueError(f"order {order} must exceed the shift {spec.shift}")
-    window = order - spec.shift
-    num = Series.const(1, window)
-    den = Series.const(1, window)
-    for m, e in spec.factors:
-        base = _euler_factor(m, window)
-        if e > 0:
-            num = num * base ** e
-        else:
-            den = den * base ** (-e)
-    result = num if den.coeffs == (1,) else num * den.invert()
-    return result.shift(spec.shift)
+    """Expand q^shift * prod f_m^{e_m} exactly below ``order``: |e_m| passes per f_m."""
+    return factor_product(eta_factors(spec), order, spec.shift)
 
 
 def eta_series(factors: Mapping[int, int] | Iterable[tuple[int, int]],
                order: int, shift: int = 0) -> Series:
     """Shorthand for ``eta_quotient(EtaQuotientSpec.make(...), order)``."""
     return eta_quotient(EtaQuotientSpec.make(factors, shift), order)
-
-
-def _times_binomial(coeffs: list[int], x: int) -> None:
-    """In-place multiply a dense coefficient list by (1 - q^x)."""
-    for i in range(len(coeffs) - 1, x - 1, -1):
-        coeffs[i] -= coeffs[i - x]
-
-
-def residue_product(spec: ResidueProductSpec, order: int) -> Series:
-    """Expand prod_{n >= 1, n = r mod M} (1 - q^n)^e exactly below ``order``."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    num = [1] + [0] * (order - 1)
-    den = [1] + [0] * (order - 1)
-    for r, e in spec.terms:
-        if e == 0:
-            continue
-        target, reps = (num, e) if e > 0 else (den, -e)
-        for n in range(r, order, spec.modulus):
-            for _ in range(reps):
-                _times_binomial(target, n)
-    result = Series(0, num, order)
-    if den != [1] + [0] * (order - 1):
-        result = result * Series(0, den, order).invert()
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -232,16 +230,13 @@ def clear_cache() -> None:
 
 
 def rr_series(order: int) -> Series:
-    """The Rogers-Ramanujan residue-class product R(q), cached per order."""
-    return _cached("R", order, lambda n: residue_product(_RR_SPEC, n))
+    """The Rogers-Ramanujan product R(q), cached per order."""
+    return _cached("R", order, partial(rr_stretch, 1))
 
 
 def rr_stretch(m: int, order: int) -> Series:
-    """R(q^m), built by stretching the cached R(q)."""
-    if m == 1:
-        return rr_series(order)
-    inner = -((-order) // m)  # ceil(order / m)
-    return rr_series(inner).stretch(m).truncate(order)
+    """R(q^m), built from its two theta factors."""
+    return factor_product(rr_factors(m), order)
 
 
 def _build_f_conv(order: int) -> Series:
@@ -254,9 +249,10 @@ def _build_f_conv(order: int) -> Series:
     from .theta import ThetaKind, theta_sum  # deferred: theta builds on etaq
 
     c_series = named_series(SeriesName.C_CRANK, 5 * order + 5)
-    column = c_series.extract(5, 4).exact_div(5)
-    tri = theta_sum(ThetaKind.TRIANGULAR, order)
-    return tri * column
+    column = c_series.extract(5, 4).exact_div(5).truncate(order)
+    coeffs = list(column.coeffs)
+    sparse_pass(coeffs, list(theta_sum(ThetaKind.TRIANGULAR, order).terms())[1:])
+    return Series(column.valuation, coeffs, order)
 
 
 def named_series(name: Union[SeriesName, str], order: int) -> Series:
@@ -266,7 +262,7 @@ def named_series(name: Union[SeriesName, str], order: int) -> Series:
         raise ValueError("order must be >= 1")
     if name is SeriesName.F_CONV:
         return _cached(name, order, _build_f_conv)
-    spec = _NAMED_SPECS[name]
+    spec = NAMED_SPECS[name]
     return _cached(name, order, lambda n: eta_quotient(spec, n))
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .etaq import SeriesName, named_series, rr_series, rr_stretch
+from .etaq import (NAMED_SPECS, SeriesName, eta_factors, factor_product,
+                   power_sum, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -165,6 +166,7 @@ class KPolynomial:
 
 
 K = KPolynomial({1: 1})
+_K_SPEC = NAMED_SPECS[SeriesName.K_PARAM]
 _FOUR_K_INV = KPolynomial({-1: 4})
 
 
@@ -221,43 +223,30 @@ def pmn(m: int, n: int) -> KPolynomial:
 def pmn_series(m: int, n: int, order: int) -> Series:
     """P(m, n) evaluated directly from the R-series.
 
-    The two defining terms are q^m R1^(m+2n) R2^(2m-n) and its
-    reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2).
+    The two defining terms are t = q^m R1^(m+2n) R2^(2m-n) and its
+    reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2); each
+    is one list of factor passes.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if order <= m:
         raise ValueError(f"order must exceed m = {m} for the reciprocal term")
-    a = m + 2 * n
-    b = 2 * m - n
-    window = order + 2 * m
-    r1 = rr_series(window)
-    r2 = rr_stretch(2, window)
-    t = ((r1 ** a) * (r2 ** b)).shift(m)
-    signed = t if (m + n) % 2 == 0 else -t
-    return (t.invert() + signed).truncate(order)
+    factors = rr_factors(1, m + 2 * n) + rr_factors(2, 2 * m - n)
+    t = factor_product(factors, order, m)
+    inverse = factor_product([(p, r, -e) for p, r, e in factors], order, -m)
+    return inverse + (t if (m + n) % 2 == 0 else -t)
 
 
 def eval_at_K(p: KPolynomial, order: int) -> Series:
-    """Substitute the Laurent q-series value of K into p."""
+    """Substitute the Laurent q-series value of K into p.
+
+    K^d is q^(-d) times the d-th power of K's eta factors, climbed one
+    degree at a time by :func:`~crankq.etaq.power_sum`.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not p:
-        return Series.zero(order)
-    degrees = p.degrees()
-    window = order + max(degrees[-1] - 1, 0)
-    k_series = named_series(SeriesName.K_PARAM, window)
-    k_inv = k_series.invert() if degrees[0] < 0 else None
-    total = Series.zero(order)
-    for d, c in p.items():
-        if d == 0:
-            piece = Series.const(c, window)
-        elif d > 0:
-            piece = (k_series ** d) * c
-        else:
-            piece = (k_inv ** (-d)) * c
-        total = total + piece
-    return total.truncate(order)
+    return power_sum([(_K_SPEC.shift * d, c, d) for d, c in p.items()],
+                     eta_factors(_K_SPEC), order)
 
 
 def verify_recurrences(m_max: int = 4, n_min: int = -3, n_max: int = 3,

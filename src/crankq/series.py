@@ -19,19 +19,51 @@ Order propagation rules (stated here once, tested in the suite):
 
 All values are immutable after construction and all operations are pure,
 so series may be shared freely between threads.
+
+:func:`sparse_pass` is the one product kernel: it multiplies or divides
+a dense coefficient list, in place, by a sparse unit series
+``1 + sum c q^k``.  Every eta quotient, R(q) and P(m,n) evaluation is a
+sequence of such passes, and :meth:`Series.invert` is one divide pass.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InexactDivision, NonUnitLeadingCoefficient, OrderExceeded
 
-__all__ = ["Series"]
+__all__ = ["Series", "sparse_pass"]
 
 
 def _nnz(coeffs: tuple[int, ...]) -> int:
     return sum(1 for c in coeffs if c)
+
+
+def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
+                e: int = 1) -> None:
+    """Multiply ``coeffs`` in place by ``(1 + sum c q^k)^e`` over ``terms``.
+
+    ``terms`` holds the (k, c) of the sparse unit series, k >= 1 and
+    ascending.  Each of the ``|e|`` passes costs ``len(coeffs)`` steps per
+    term: a multiply (e > 0) is one slice comprehension per term, a divide
+    (e < 0) the convolution recurrence ``b[n] = a[n] - sum c * b[n - k]``.
+    The list is a truncation, and every entry stays exact.
+    """
+    n = len(coeffs)
+    for _ in range(e):
+        src = coeffs[:]
+        for k, c in terms:
+            if k >= n:
+                break
+            coeffs[k:] = [x + c * y for x, y in zip(coeffs[k:], src)]
+    for _ in range(-e):
+        for i in range(1, n):
+            s = coeffs[i]
+            for k, c in terms:
+                if k > i:
+                    break
+                s -= c * coeffs[i - k]
+            coeffs[i] = s
 
 
 class Series:
@@ -246,9 +278,9 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse, exact up to ``order - 2 * valuation``.
 
-        Coefficients solve the convolution recurrence
-        ``c0*b[n] = delta(n, 0) - sum(c[k]*b[n-k], k >= 1)`` which stays
-        in the integers exactly when the leading coefficient is a unit.
+        With ``c = c0 * (1 + sum c0*c[k] q^k)`` and ``c0 = +-1`` the inverse
+        is ``c0`` divided by that unit series (:func:`sparse_pass`), which
+        stays in the integers exactly when the leading coefficient is a unit.
         """
         if self.is_zero():
             raise NonUnitLeadingCoefficient("the zero series has no inverse")
@@ -259,17 +291,8 @@ class Series:
                 f"leading coefficient {c0} is not +-1; only units over the "
                 f"integers are invertible"
             )
-        length = len(c)
-        nz = [(k, ck) for k, ck in enumerate(c) if ck and k > 0]
-        b = [0] * length
-        b[0] = c0
-        for n in range(1, length):
-            s = 0
-            for k, ck in nz:
-                if k > n:
-                    break
-                s += ck * b[n - k]
-            b[n] = -s if c0 == 1 else s
+        b = [c0] + [0] * (len(c) - 1)
+        sparse_pass(b, [(k, c0 * ck) for k, ck in enumerate(c) if ck and k], -1)
         return Series(-self.valuation, b, self.order - 2 * self.valuation)
 
     def __pow__(self, k: int) -> "Series":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable
 
-from .etaq import SeriesName, eta_series, named_series, rr_stretch
+from .etaq import SeriesName, eta_series, named_series, power_sum, rr_factors
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -97,31 +97,19 @@ def verify_theta_identity(kind: ThetaKind, order: int) -> CheckReport:
                                      order, [diff])
 
 
-def _bracket(r5: Series, inv5: Series,
-             terms: list[tuple[int, int, int]], order: int) -> Series:
-    """Sum c * q^s * R5^p for (s, c, p) triples, with R5^0 = 1."""
-    total = Series.zero(order)
-    for s, c, p in terms:
-        if p == 0:
-            piece = Series.monomial(c, s, order)
-        else:
-            base = r5 if p > 0 else inv5
-            piece = (base ** abs(p)).shift(s) * c
-        total = total + piece
-    return total
-
-
 def five_dissection_sides(order: int) -> dict[str, tuple[Series, Series]]:
-    """Left and right sides of the quintic dissections of f_1 and 1/f_1."""
-    r5 = rr_stretch(5, order)
-    inv5 = r5.invert()
+    """Left and right sides of the quintic dissections of f_1 and 1/f_1.
+
+    Each bracket is a sum of c * q^s * R(q^5)^p over (s, c, p) triples.
+    """
+    r5 = rr_factors(5)
     f25 = eta_series({25: 1}, order)
     lhs1 = eta_series({1: 1}, order)
-    rhs1 = f25 * _bracket(r5, inv5, [(0, 1, -1), (1, -1, 0), (2, -1, 1)], order)
+    rhs1 = f25 * power_sum([(0, 1, -1), (1, -1, 0), (2, -1, 1)], r5, order)
     lhs2 = named_series(SeriesName.P_PARTITION, order)
     nine = [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
             (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]
-    rhs2 = eta_series({25: 5, 5: -6}, order) * _bracket(r5, inv5, nine, order)
+    rhs2 = eta_series({25: 5, 5: -6}, order) * power_sum(nine, r5, order)
     return {"31": (lhs1, rhs1), "32": (lhs2, rhs2)}
 
 

@@ -44,6 +44,23 @@ def naive_euler(m, n):
     return out
 
 
+RR_TERMS = [(1, 1), (4, 1), (2, -1), (3, -1)]   # R(q) as residue classes mod 5
+
+
+def naive_residue_product(modulus, terms, n):
+    """prod over (r, e) in terms of prod_{j = r mod modulus, j >= 1} (1 - q^j)^e,
+    numerator binomial by binomial, denominator inverted once at the end."""
+    num = [1] + [0] * (n - 1)
+    den = [1] + [0] * (n - 1)
+    for r, e in terms:
+        target = num if e > 0 else den
+        for _ in range(abs(e)):
+            for step in range(r, n, modulus):
+                for i in range(n - 1, step - 1, -1):
+                    target[i] -= target[i - step]
+    return naive_mul(num, naive_inv(den, n), n)
+
+
 def enum_partitions(n, max_part=None):
     if n == 0:
         yield ()

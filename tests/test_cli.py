@@ -99,6 +99,13 @@ def test_oracle_crank_excludes_known_discrepancy(capsys):
     assert "excluded: known discrepancy" in out
 
 
+@pytest.mark.parametrize("which, cap", [("crank", 45), ("colored", 40)])
+def test_oracle_n_max_above_cap_is_usage_error(capsys, which, cap):
+    code, out, err = run(capsys, "oracle", "--which", which, "--n-max", str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"n_max = {cap + 1} exceeds" in err and f"enumeration cap {cap}" in err
+
+
 def test_pmn_json(capsys):
     code, out, _ = run(capsys, "pmn", "--m", "0", "--n", "1", "--format", "json")
     assert code == 0

@@ -1,15 +1,16 @@
-"""Euler products, residue-class products and the named-series registry."""
+"""Eta quotients, R(q) and the named-series registry."""
 
 import pytest
 
 from crankq.errors import InexactDivision
-from crankq.etaq import (EtaQuotientSpec, ResidueProductSpec, SeriesName,
+from crankq.etaq import (EtaQuotientSpec, SeriesName,
                          binomial_congruence_check, eta_quotient, eta_series,
-                         named_series, parse_quotient, residue_product,
+                         factor_product, named_series, parse_quotient,
                          rr_series, rr_stretch)
 from crankq.series import Series
 
-from oracles import colored_count, naive_euler, naive_mul
+from oracles import (RR_TERMS, colored_count, naive_euler, naive_mul,
+                     naive_residue_product)
 
 
 def test_euler_product_matches_binomial_expansion():
@@ -57,23 +58,17 @@ def test_spec_validation():
 
 
 # ----------------------------------------------------------------------
-# residue products
+# residue products: the naive copy in oracles.py against the factor builds
 
 def test_residue_product_empty_is_one():
-    spec = ResidueProductSpec.make(5, [])
-    assert residue_product(spec, 8) == Series.const(1, 8)
+    assert naive_residue_product(5, [], 8) == [1] + [0] * 7
+    assert factor_product([], 8) == Series.const(1, 8)
 
 
 def test_residue_product_full_classes_give_euler_product():
-    spec = ResidueProductSpec.make(2, [(1, 1), (2, 1)])
-    assert residue_product(spec, 40) == eta_series({1: 1}, 40)
-
-
-def test_residue_product_validation():
-    with pytest.raises(ValueError):
-        ResidueProductSpec.make(1, [(1, 1)])
-    with pytest.raises(ValueError):
-        ResidueProductSpec.make(5, [(6, 1)])
+    naive = naive_residue_product(2, [(1, 1), (2, 1)], 40)
+    assert naive == naive_euler(1, 40)
+    assert list(eta_series({1: 1}, 40).coeffs) == naive
 
 
 def test_rr_series_small_expansion():
@@ -82,6 +77,7 @@ def test_rr_series_small_expansion():
     bracket = r5.invert() - Series.monomial(1, 1, 150) - r5.shift(2)
     assert (eta_series({25: 1}, 150) * bracket).agree(eta_series({1: 1}, 150))
     assert [rr_series(11).coeff(n) for n in range(11)] == [1, -1, 1, 0, -1, 1, -1, 1, 0, -1, 2]
+    assert list(rr_series(400).coeffs) == naive_residue_product(5, RR_TERMS, 400)
 
 
 # ----------------------------------------------------------------------
