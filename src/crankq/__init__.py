@@ -26,8 +26,7 @@ from .theta import (ThetaKind, theta_sum, verify_5dissections,
 from .kalgebra import (K, KPolynomial, PmnIndex, eval_at_K, pmn, pmn_series,
                        verify_combo_identity, verify_recurrences,
                        verify_series_agreement)
-from .congruence import (CongruenceFamily, Partition, WeightKind,
-                         check_progression, check_theorem,
+from .congruence import (CongruenceFamily, Partition, check_progression,
                          colored_partition_oracle, cooper_hirschhorn_check,
                          crank, crank_parity_oracle, partitions,
                          solve_24n_condition, weighted_sum)
@@ -47,10 +46,9 @@ __all__ = [
     "verify_theta_identity",
     "K", "KPolynomial", "PmnIndex", "eval_at_K", "pmn", "pmn_series",
     "verify_combo_identity", "verify_recurrences", "verify_series_agreement",
-    "CongruenceFamily", "Partition", "WeightKind", "check_progression",
-    "check_theorem", "colored_partition_oracle", "cooper_hirschhorn_check",
-    "crank", "crank_parity_oracle", "partitions", "solve_24n_condition",
-    "weighted_sum",
+    "CongruenceFamily", "Partition", "check_progression",
+    "colored_partition_oracle", "cooper_hirschhorn_check", "crank",
+    "crank_parity_oracle", "partitions", "solve_24n_condition", "weighted_sum",
     "CheckReport", "tasks",
     "__version__",
 ]

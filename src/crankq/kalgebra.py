@@ -190,20 +190,24 @@ _FAMILY_ANCHORS = {0: (0, 1), 1: (-1, 0)}
 
 
 def _pmn(m: int, n: int) -> KPolynomial:
-    hit = _PMN_CACHE.get((m, n))
-    if hit is not None:
-        return hit
-    if m >= 2:
-        value = K * _pmn(m - 1, n) + _pmn(m - 2, n)
-    else:
-        lo, hi = _FAMILY_ANCHORS[m]
-        if n > hi:
-            value = _FOUR_K_INV * _pmn(m, n - 1) + _pmn(m, n - 2)
-        else:
-            assert n < lo
-            value = _pmn(m, n + 2) - _FOUR_K_INV * _pmn(m, n + 1)
-    _PMN_CACHE[(m, n)] = value
-    return value
+    # Iterative, so that the depth of the walk is not bounded by the
+    # interpreter's recursion limit: walk the seed families that P(m, n)
+    # needs from their anchors out to n, then climb the m-chain at n.
+    cache = _PMN_CACHE
+    if (m, n) in cache:
+        return cache[(m, n)]
+    for f in ((m,) if m < 2 else (0, 1)):
+        lo, hi = _FAMILY_ANCHORS[f]
+        for k in range(hi + 1, n + 1):
+            if (f, k) not in cache:
+                cache[(f, k)] = _FOUR_K_INV * cache[(f, k - 1)] + cache[(f, k - 2)]
+        for k in range(lo - 1, n - 1, -1):
+            if (f, k) not in cache:
+                cache[(f, k)] = cache[(f, k + 2)] - _FOUR_K_INV * cache[(f, k + 1)]
+    for j in range(2, m + 1):
+        if (j, n) not in cache:
+            cache[(j, n)] = K * cache[(j - 1, n)] + cache[(j - 2, n)]
+    return cache[(m, n)]
 
 
 def pmn(m: int, n: int) -> KPolynomial:
@@ -249,27 +253,24 @@ def eval_at_K(p: KPolynomial, order: int) -> Series:
                      eta_factors(_K_SPEC), order)
 
 
-def verify_recurrences(m_max: int = 4, n_min: int = -3, n_max: int = 3,
-                       which: str = "both") -> CheckReport:
-    """Exact symbolic closure of the two P(m,n) recurrences on a grid."""
-    if which not in ("both", "35", "36"):
+def verify_recurrences(which: str, m_max: int = 4, n_min: int = -3,
+                       n_max: int = 3) -> CheckReport:
+    """Exact symbolic closure of the n-step ("35") or the m-step ("36")
+    P(m,n) recurrence on a grid."""
+    step = {"35": "n-step", "36": "m-step"}.get(which)
+    if step is None:
         raise ValueError(f"unknown recurrence selector {which!r}")
     failures = []
     for m in range(m_max + 1):
         for n in range(n_min, n_max + 1):
-            if which in ("both", "35"):
-                lhs = pmn(m, n + 1)
-                rhs = _FOUR_K_INV * pmn(m, n) + pmn(m, n - 1)
-                if lhs != rhs:
-                    failures.append({"recurrence": "n-step", "m": m, "n": n})
-            if which in ("both", "36"):
-                lhs = pmn(m + 2, n)
-                rhs = K * pmn(m + 1, n) + pmn(m, n)
-                if lhs != rhs:
-                    failures.append({"recurrence": "m-step", "m": m, "n": n})
-    task = "rec35" if which == "35" else "rec36" if which == "36" else "recurrences"
+            if which == "35":
+                holds = pmn(m, n + 1) == _FOUR_K_INV * pmn(m, n) + pmn(m, n - 1)
+            else:
+                holds = pmn(m + 2, n) == K * pmn(m + 1, n) + pmn(m, n)
+            if not holds:
+                failures.append({"recurrence": step, "m": m, "n": n})
     params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
-    return CheckReport.from_failures(task, params, 0, failures)
+    return CheckReport.from_failures(f"rec{which}", params, 0, failures)
 
 
 def verify_series_agreement(order: int = 100, m_max: int = 3,

@@ -1,11 +1,18 @@
 """Registry of every verification task under its stable id.
 
+This module is the one place a task id is bound to its check.  The
+named claims of the paper (congruence families, column reductions,
+oracle comparisons) are defined here on top of the reusable machinery of
+:mod:`~crankq.congruence`; the series identities bind the checks of
+:mod:`~crankq.theta`, :mod:`~crankq.kalgebra` and :mod:`~crankq.etaq`.
+
 Each task is a zero-config callable returning a :class:`CheckReport`;
 passing ``order=N`` rescales it (identity tasks compare up to N,
-scanning tasks scan every step whose index stays below N).  The
-registry is what the command-line ``verify`` and ``report`` commands
-iterate, always in sorted id order so output is deterministic, and
-:func:`run_task` is the one place a task is run and timed.
+scanning tasks scan every step whose index stays below N).  A scanning
+task takes ``n_max`` or ``order``, not both.  The registry is what the
+command-line ``verify`` and ``report`` commands iterate, always in sorted
+id order so output is deterministic, and :func:`run_task` is the one
+place a task is run and timed.
 """
 
 from __future__ import annotations
@@ -16,9 +23,14 @@ from inspect import signature
 from time import perf_counter
 from typing import Callable, Optional
 
-from . import congruence, etaq, kalgebra, theta
+from . import etaq, kalgebra, theta
+from .congruence import (ORACLES, CongruenceFamily, _is_prime, _n_max_for,
+                         check_progression, cooper_hirschhorn_check,
+                         oracle_rows, solve_24n_condition)
 from .errors import CrankqError
-from .report import CheckReport
+from .etaq import SeriesName, eta_series, named_series
+from .report import CheckReport, first_mismatch
+from .theta import ThetaKind
 
 __all__ = ["task_ids", "describe", "run_task", "run_all", "WARM_ORDERS"]
 
@@ -26,6 +38,186 @@ __all__ = ["task_ids", "describe", "run_task", "run_all", "WARM_ORDERS"]
 # front keeps per-task timings honest and avoids recomputing a series at
 # a larger order halfway through a run.
 WARM_ORDERS = {"C": 2520, "a": 1802, "p": 1107}
+
+
+def _check_family(tid: str, family: CongruenceFamily, default: int,
+                  n_max: Optional[int] = None,
+                  order: Optional[int] = None) -> CheckReport:
+    """Scan one progression family; n_max defaults to ``default``."""
+    steps = _n_max_for(n_max, order, family.stride, family.offset, default)
+    return check_progression(family, steps, task=tid)
+
+
+def _check_thm11(alpha: Optional[int] = None, n_max: Optional[int] = None,
+                 order: Optional[int] = None) -> CheckReport:
+    """Divisibility of the crank parity sequence by 5^(alpha+1) on the
+    residue class solving 24n = 1 mod 5^(2*alpha+1)."""
+    alphas = [0, 1] if alpha is None else [alpha]
+    defaults = {0: 200, 1: 8}
+    classes, failures, reach = [], [], 0
+    for a in alphas:
+        residue, cls_mod = solve_24n_condition(a)
+        steps = _n_max_for(n_max, order, cls_mod, residue, defaults.get(a, 3))
+        family = CongruenceFamily(SeriesName.C_CRANK, 5 ** (a + 1),
+                                  stride=cls_mod, offset=residue)
+        part = check_progression(family, steps, task="thm11")
+        classes.append({"alpha": a, "residue": residue, "modulus": cls_mod,
+                        "n_max": steps})
+        if not part.passed:
+            failures.append(dict(part.witness, alpha=a))
+        reach = max(reach, part.order)
+    params = {"alphas": alphas, "classes": classes}
+    return CheckReport.from_failures("thm11", params, reach, failures)
+
+
+def _check_thm12(order: int = 300) -> CheckReport:
+    """Exact identity: the C(5n+4) column equals 5 f_1^2 f_5 f_10^2 / f_2^4."""
+    c_series = named_series(SeriesName.C_CRANK, 5 * order + 5)
+    rhs = eta_series({1: 2, 5: 1, 10: 2, 2: -4}, order) * 5
+    params = {"identity": "C(5n+4) = 5*f1^2*f5*f10^2/f2^4"}
+    return CheckReport.from_failures(
+        "thm12", params, order,
+        [first_mismatch(c_series.extract(5, 4), rhs, upto=order)])
+
+
+def _check_5p2_families(task: str, p: int, shift: int, weight: ThetaKind,
+                        n_max: Optional[int], order: Optional[int]) -> CheckReport:
+    """Weighted sums of the reciprocal sequence vanish mod 5 on
+    5p^2 n + 5pr + shift for r = 1 .. p-1; the first r that fails is named
+    in the witness.  n_max defaults to 1."""
+    families = [CongruenceFamily(SeriesName.A_RECIP, 5, stride=5 * p * p,
+                                 offset=5 * p * r + shift, weight=weight, scale=5)
+                for r in range(1, p)]
+    last = families[-1]
+    n_max = _n_max_for(n_max, order, last.stride, last.offset, 1)
+    order = last.required_order(n_max)
+    series = named_series(SeriesName.A_RECIP, order)
+    params = {"p": p, "shift": shift, "n_max": n_max, "r_max": p - 1}
+    parts = (check_progression(family, n_max, series=series, task=task)
+             for family in families)
+    failures = (dict(part.witness, r=r)
+                for r, part in enumerate(parts, start=1) if not part.passed)
+    return CheckReport.from_failures(task, params, order, failures)
+
+
+def _check_thm16(p: int = 13, n_max: Optional[int] = None,
+                 order: Optional[int] = None) -> CheckReport:
+    """Alternating-square sums of the reciprocal sequence vanish mod 5 on
+    the progressions 5p^2 n + 5pr + (25p^2-1)/24, r = 1 .. p-1."""
+    if not _is_prime(p) or p % 24 not in (13, 17, 19, 23):
+        raise ValueError("p must be a prime in {13, 17, 19, 23} mod 24")
+    shift, rem = divmod(25 * p * p - 1, 24)
+    assert rem == 0
+    return _check_5p2_families("thm16", p, shift, ThetaKind.SQUARES, n_max, order)
+
+
+def _check_cr2(p: int = 7, n_max: Optional[int] = None,
+               order: Optional[int] = None) -> CheckReport:
+    """Alternating cubic-weighted sums of the reciprocal sequence vanish
+    mod 5 on 5p^2 n + 5pr + (65p^2-41)/24, r = 1 .. p-1."""
+    if not _is_prime(p) or p % 12 not in (7, 11):
+        raise ValueError("p must be a prime in {7, 11} mod 12")
+    shift, rem = divmod(65 * p * p - 41, 24)
+    assert rem == 0
+    return _check_5p2_families("cr2", p, shift, ThetaKind.CUBIC_3K1, n_max, order)
+
+
+def _check_a54(order: int = 150, n_max: int = 100) -> CheckReport:
+    """The A(5n+4) column reduces to f_2^2 f_10^2 mod 5, hence the odd
+    half A(10n+9) vanishes mod 5."""
+    big = named_series(SeriesName.A_CAP, max(5 * order + 5, 10 * n_max + 10))
+    params = {"order": order, "n_max": n_max}
+    column_diff = first_mismatch(big.extract(5, 4), eta_series({2: 2, 10: 2}, order),
+                                 modulus=5, upto=order)
+    family = CongruenceFamily(SeriesName.A_CAP, 5, stride=10, offset=9)
+    odd_half = check_progression(family, n_max, series=big, task="a54")
+    return CheckReport.from_failures("a54", params, order,
+                                     [column_diff, odd_half.witness])
+
+
+def _check_a51(order: int = 150) -> CheckReport:
+    """The a(5n+1) column reduces to 3 f_1 f_2^2 mod 5."""
+    column = named_series(SeriesName.A_RECIP, 5 * order + 2).extract(5, 1)
+    target = eta_series({1: 1, 2: 2}, order) * 3
+    return CheckReport.from_failures(
+        "a51", {"order": order}, order,
+        [first_mismatch(column, target, modulus=5, upto=order)])
+
+
+def _check_f52(order: int = 100, n_max: int = 10,
+               which: str = "both") -> CheckReport:
+    """The f(5n+2) column against its quoted three-term reduction mod 25,
+    plus the vanishing f(25n+22) = 0 mod 25.
+
+    The quoted middle term is -5q f_10^2/(f_2 f_5^2); the identity as
+    quoted is false from exponent 11 on (the surrounding exact algebra
+    forces f_10^5 there), so the "identity" part of this task fails with
+    a witness by construction.  See :func:`_check_f52_corrected` for the
+    repaired form, which does hold.  The vanishing part is unaffected.
+    ``which`` runs "both" parts, the "identity" or the "vanishing".
+    """
+    if which not in ("both", "identity", "vanishing"):
+        raise ValueError(f"unknown f52 selector {which!r}")
+    big = named_series(SeriesName.F_CONV, max(5 * order + 3, 25 * n_max + 23))
+    params = {"order": order, "n_max": n_max, "which": which}
+    failures = []
+    if which in ("both", "identity"):
+        target = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
+                  + eta_series({10: 2, 2: -1, 5: -2}, order, shift=1) * (-5)
+                  + eta_series({1: 2, 10: 8, 5: -4}, order, shift=2) * 5)
+        diff = first_mismatch(big.extract(5, 2), target, modulus=25, upto=order)
+        if diff:
+            failures.append({"check": "identity", **diff})
+    if which in ("both", "vanishing"):
+        family = CongruenceFamily(SeriesName.F_CONV, 25, stride=25, offset=22)
+        part = check_progression(family, n_max, series=big, task="f52")
+        if not part.passed:
+            failures.append(dict(part.witness, check="vanishing"))
+    return CheckReport.from_failures("f52", params, order, failures)
+
+
+def _check_f52_corrected(order: int = 100) -> CheckReport:
+    """Repaired forms of the f(5n+2) reduction, both of which do hold.
+
+    Exact: the column equals f_1^3 f_10^2/(f_2^2 f_5)
+    - 5q f_1^5 f_10^6/(f_2^6 f_5^3) + 5q^2 f_1^7 f_10^10/(f_2^10 f_5^5).
+    Mod 25: the middle term collapses to -5q f_10^5/(f_2 f_5^2).
+    """
+    column = named_series(SeriesName.F_CONV, 5 * order + 3).extract(5, 2)
+    exact = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
+             + eta_series({1: 5, 10: 6, 2: -6, 5: -3}, order, shift=1) * (-5)
+             + eta_series({1: 7, 10: 10, 2: -10, 5: -5}, order, shift=2) * 5)
+    reduced = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
+               + eta_series({10: 5, 2: -1, 5: -2}, order, shift=1) * (-5)
+               + eta_series({1: 2, 10: 8, 5: -4}, order, shift=2) * 5)
+    failures = []
+    for check, target, modulus in (("exact", exact, None), ("mod25", reduced, 25)):
+        diff = first_mismatch(column, target, modulus=modulus, upto=order)
+        if diff:
+            failures.append({"check": check, **diff})
+    return CheckReport.from_failures("f52-corrected", {"order": order}, order,
+                                     failures)
+
+
+def _check_oracle_crank(n_max: Optional[int] = None,
+                        order: Optional[int] = None) -> CheckReport:
+    """Enumeration oracle against the series coefficients, excluding the
+    documented n = 1 discrepancy (enumeration -1 vs coefficient -3)."""
+    spec = ORACLES["crank"]
+    n_max = _n_max_for(n_max, order, 1, 0, spec.default_n_max)
+    rows, mismatches = oracle_rows("crank", n_max)
+    params = {"n_max": n_max, "excluded": list(spec.excluded),
+              "n1_discrepancy": rows[1] if n_max >= 1 else None}
+    return CheckReport.from_failures("oracle-crank", params, n_max + 1, mismatches)
+
+
+def _check_oracle_colored(n_max: Optional[int] = None,
+                          order: Optional[int] = None) -> CheckReport:
+    """Colored-partition enumeration against the reciprocal series."""
+    n_max = _n_max_for(n_max, order, 1, 0, ORACLES["colored"].default_n_max)
+    _, mismatches = oracle_rows("colored", n_max)
+    return CheckReport.from_failures("oracle-colored", {"n_max": n_max},
+                                     n_max + 1, mismatches)
 
 
 def _binom_suite(order: int = 150,
@@ -39,53 +231,69 @@ def _binom_suite(order: int = 150,
     return CheckReport.from_failures("binom", params, order, [])
 
 
-_theorem = congruence._THEOREMS.__getitem__
-
 _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
     # congruences for the named sequences
     "thm11": ("crank parity divisible by 5^(a+1) on the 24n=1 mod 5^(2a+1) class",
-              _theorem("thm11")),
+              _check_thm11),
     "thm12": ("exact identity for the C(5n+4) column",
-              _theorem("thm12")),
+              _check_thm12),
     "thm13": ("pentagonal-weighted crank sums over 50n+49, /5, vanish mod 5",
-              _theorem("thm13")),
+              partial(_check_family, "thm13",
+                      CongruenceFamily(SeriesName.C_CRANK, 5, stride=50, offset=49,
+                                       weight=ThetaKind.PENT_6K1, scale=25,
+                                       pre_divisor=5), 10)),
     "thm14": ("reciprocal sequence vanishes mod 7 on 7n+2",
-              _theorem("thm14")),
+              partial(_check_family, "thm14",
+                      CongruenceFamily(SeriesName.A_RECIP, 7, stride=7,
+                                       offset=2), 100)),
     "thm15a": ("triangular sums of a over 25n+16 vanish mod 5",
-               _theorem("thm15a")),
+               partial(_check_family, "thm15a",
+                       CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
+                                        weight=ThetaKind.TRIANGULAR, scale=5), 20)),
     "thm15b": ("triangular sums of C over 125n+114, /5, vanish mod 25",
-               _theorem("thm15b")),
+               partial(_check_family, "thm15b",
+                       CongruenceFamily(SeriesName.C_CRANK, 25, stride=125, offset=114,
+                                        weight=ThetaKind.TRIANGULAR, scale=5,
+                                        pre_divisor=5), 7)),
     "thm16": ("alternating-square sums of a on the 5p^2 progressions, mod 5",
-              _theorem("thm16")),
+              _check_thm16),
     "cr1": ("pentagonal-weighted sums of a over 25n+21 vanish mod 5",
-            _theorem("cr1")),
+            partial(_check_family, "cr1",
+                    CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=21,
+                                     weight=ThetaKind.PENT_6K1, scale=5), 20)),
     "cr2": ("alternating cubic-weighted sums of a on 5p^2 progressions, mod 5",
-            _theorem("cr2")),
+            _check_cr2),
     "ch-d": ("multiplicative relation d(7n+16) = 49 d(n/7)",
-             _theorem("ch-d")),
+             partial(cooper_hirschhorn_check, SeriesName.D_CH, p=7)),
     "ch-h": ("multiplicative relation h(pn+shift) = +-p h(n/p) and vanishing",
-             _theorem("ch-h")),
+             partial(cooper_hirschhorn_check, SeriesName.H_CH, p=13)),
     "smoke5": ("partition numbers vanish mod 5 on 5n+4",
-               _theorem("smoke5")),
+               partial(_check_family, "smoke5",
+                       CongruenceFamily(SeriesName.P_PARTITION, 5, stride=5,
+                                        offset=4), 100)),
     "smoke7": ("partition numbers vanish mod 7 on 7n+5",
-               _theorem("smoke7")),
+               partial(_check_family, "smoke7",
+                       CongruenceFamily(SeriesName.P_PARTITION, 7, stride=7,
+                                        offset=5), 100)),
     "smoke11": ("partition numbers vanish mod 11 on 11n+6",
-                _theorem("smoke11")),
+                partial(_check_family, "smoke11",
+                        CongruenceFamily(SeriesName.P_PARTITION, 11, stride=11,
+                                         offset=6), 100)),
     # intermediate reduced generating functions
     "a54": ("A(5n+4) column is f_2^2 f_10^2 mod 5; A(10n+9) vanishes mod 5",
-            _theorem("a54")),
+            _check_a54),
     "a51": ("a(5n+1) column is 3 f_1 f_2^2 mod 5",
-            _theorem("a51")),
+            _check_a51),
     "f52": ("f(5n+2) column vs quoted three-term reduction mod 25 (misprinted "
             "middle term; fails with witness) and f(25n+22) = 0 mod 25",
-            _theorem("f52")),
+            _check_f52),
     "f52-corrected": ("f(5n+2) column vs repaired reduction, exactly and mod 25",
-                      _theorem("f52-corrected")),
+                      _check_f52_corrected),
     # combinatorial oracles
     "oracle-crank": ("crank parity enumeration matches the series (n=1 excluded)",
-                     _theorem("oracle-crank")),
+                     _check_oracle_crank),
     "oracle-colored": ("3-colored odd-part enumeration matches the series",
-                       _theorem("oracle-colored")),
+                       _check_oracle_colored),
     # series identities
     "dis31": ("quintic dissection of the Euler product",
               partial(theta.verify_5dissections, order=150, which="31")),
@@ -97,16 +305,16 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
             partial(theta.verify_K_identities, order=150, which="34")),
     "theta-triangular": ("triangular sum equals f_2^2/f_1",
                          partial(theta.verify_theta_identity, order=200,
-                                 kind=theta.ThetaKind.TRIANGULAR)),
+                                 kind=ThetaKind.TRIANGULAR)),
     "theta-squares": ("alternating square sum equals f_1^2/f_2",
                       partial(theta.verify_theta_identity, order=200,
-                              kind=theta.ThetaKind.SQUARES)),
+                              kind=ThetaKind.SQUARES)),
     "theta-pent": ("(6k+1)-weighted pentagonal sum equals f_1^5/f_2^2",
                    partial(theta.verify_theta_identity, order=200,
-                           kind=theta.ThetaKind.PENT_6K1)),
+                           kind=ThetaKind.PENT_6K1)),
     "theta-cubic": ("(3k+1)-weighted cubic sum equals f_2^5/f_1^2",
                     partial(theta.verify_theta_identity, order=200,
-                            kind=theta.ThetaKind.CUBIC_3K1)),
+                            kind=ThetaKind.CUBIC_3K1)),
     "binom": ("f_m^(5^k) = f_(5m)^(5^(k-1)) mod 5^k for (1,1), (2,1), (1,2)",
               _binom_suite),
     # the P(m,n) system

@@ -20,9 +20,6 @@ from .series import Series
 __all__ = [
     "ThetaKind",
     "theta_sum",
-    "is_bilateral",
-    "exponent",
-    "weight",
     "verify_theta_identity",
     "verify_5dissections",
     "verify_K_identities",
@@ -51,18 +48,6 @@ _DEFS: dict[ThetaKind, tuple[bool, Callable[[int], int], Callable[[int], int],
     ThetaKind.CUBIC_3K1: (True, lambda k: k * (3 * k + 2),
                           lambda k: _sign(k) * (3 * k + 1), {1: -2, 2: 5}),
 }
-
-
-def is_bilateral(kind: ThetaKind) -> bool:
-    return _DEFS[kind][0]
-
-
-def exponent(kind: ThetaKind, k: int) -> int:
-    return _DEFS[kind][1](k)
-
-
-def weight(kind: ThetaKind, k: int) -> int:
-    return _DEFS[kind][2](k)
 
 
 def theta_sum(kind: ThetaKind, order: int) -> Series:
@@ -97,60 +82,49 @@ def verify_theta_identity(kind: ThetaKind, order: int) -> CheckReport:
                                      order, [diff])
 
 
-def five_dissection_sides(order: int) -> dict[str, tuple[Series, Series]]:
-    """Left and right sides of the quintic dissections of f_1 and 1/f_1.
+def five_dissection_sides(order: int, which: str) -> tuple[Series, Series]:
+    """Left and right side of the quintic dissection of f_1 ("31") or of
+    1/f_1 ("32").
 
     Each bracket is a sum of c * q^s * R(q^5)^p over (s, c, p) triples.
     """
     r5 = rr_factors(5)
-    f25 = eta_series({25: 1}, order)
-    lhs1 = eta_series({1: 1}, order)
-    rhs1 = f25 * power_sum([(0, 1, -1), (1, -1, 0), (2, -1, 1)], r5, order)
-    lhs2 = named_series(SeriesName.P_PARTITION, order)
-    nine = [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
-            (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]
-    rhs2 = eta_series({25: 5, 5: -6}, order) * power_sum(nine, r5, order)
-    return {"31": (lhs1, rhs1), "32": (lhs2, rhs2)}
+    if which == "31":
+        three = [(0, 1, -1), (1, -1, 0), (2, -1, 1)]
+        return (eta_series({1: 1}, order),
+                eta_series({25: 1}, order) * power_sum(three, r5, order))
+    if which == "32":
+        nine = [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
+                (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]
+        return (named_series(SeriesName.P_PARTITION, order),
+                eta_series({25: 5, 5: -6}, order) * power_sum(nine, r5, order))
+    raise ValueError(f"unknown dissection selector {which!r}")
 
 
-def _identity_failures(sides: dict[str, tuple[Series, Series]],
-                       which: str) -> list[dict]:
-    """Witnesses of the labelled identities ``which`` selects, in label order."""
-    failures = []
-    for label, (lhs, rhs) in sides.items():
-        if which in ("both", label):
-            diff = first_mismatch(lhs, rhs)
-            if diff:
-                failures.append({"identity": label, **diff})
-    return failures
-
-
-def verify_5dissections(order: int, which: str = "both") -> CheckReport:
-    """Check the quintic dissection identities as exact series equalities.
-
-    ``which`` selects "31" (the f_1 dissection), "32" (the 1/f_1
-    dissection) or "both".
-    """
+def verify_5dissections(order: int, which: str) -> CheckReport:
+    """Check the quintic dissection identity "31" (of f_1) or "32" (of
+    1/f_1) as an exact series equality."""
     if order < 25:
         raise ValueError("order must be >= 25 so f_25 contributes")
-    if which not in ("both", "31", "32"):
-        raise ValueError(f"unknown dissection selector {which!r}")
-    failures = _identity_failures(five_dissection_sides(order), which)
-    task = "dis31" if which == "31" else "dis32" if which == "32" else "dissections"
-    return CheckReport.from_failures(task, {"which": which}, order, failures)
+    diff = first_mismatch(*five_dissection_sides(order, which))
+    return CheckReport.from_failures(f"dis{which}", {"which": which}, order,
+                                     [diff and {"identity": which, **diff}])
 
 
-def verify_K_identities(order: int, which: str = "both") -> CheckReport:
-    """Check K + 1 and K - 4 against their eta quotients as Laurent series."""
+# selector -> (c, exponents of the eta quotient equal to q (K + c))
+_K_IDENTITIES = {"33": (1, {1: -2, 2: 4, 5: 2, 10: -4}),
+                 "34": (-4, {1: 3, 2: -1, 5: 1, 10: -3})}
+
+
+def verify_K_identities(order: int, which: str) -> CheckReport:
+    """Check K + 1 ("33") or K - 4 ("34") against its eta quotient as a
+    Laurent series."""
     if order < 10:
         raise ValueError("order must be >= 10")
-    if which not in ("both", "33", "34"):
+    if which not in _K_IDENTITIES:
         raise ValueError(f"unknown K-identity selector {which!r}")
-    k_series = named_series(SeriesName.K_PARAM, order)
-    targets = {
-        "33": (k_series + 1, eta_series({1: -2, 2: 4, 5: 2, 10: -4}, order, shift=-1)),
-        "34": (k_series - 4, eta_series({1: 3, 2: -1, 5: 1, 10: -3}, order, shift=-1)),
-    }
-    failures = _identity_failures(targets, which)
-    task = "k33" if which == "33" else "k34" if which == "34" else "k-identities"
-    return CheckReport.from_failures(task, {"which": which}, order, failures)
+    c, quotient = _K_IDENTITIES[which]
+    diff = first_mismatch(named_series(SeriesName.K_PARAM, order) + c,
+                          eta_series(quotient, order, shift=-1))
+    return CheckReport.from_failures(f"k{which}", {"which": which}, order,
+                                     [diff and {"identity": which, **diff}])

@@ -16,10 +16,10 @@ separately and does hold; see ``f52-corrected``.
 
 import json
 
-from crankq.congruence import check_theorem
 from crankq.etaq import binomial_congruence_check
 from crankq.kalgebra import (verify_combo_identity, verify_recurrences,
                              verify_series_agreement)
+from crankq.tasks import run_task
 from crankq.theta import (ThetaKind, verify_5dissections, verify_K_identities,
                           verify_theta_identity)
 
@@ -79,53 +79,53 @@ def naive_f52_reduction(middle_f10, n):
 
 def test_criterion_1_exact_column_identity():
     criterion(1, "C(5n+4) column equals 5 f_1^2 f_5 f_10^2 / f_2^4 to order 300",
-              check_theorem("thm12", order=300))
+              run_task("thm12", order=300))
 
 
 def test_criterion_2_divisibility_classes():
     criterion(2, "5 | C(5n+4) for n <= 200 and 25 | C(125n+99) for n <= 1100",
-              check_theorem("thm11", alpha=0, n_max=200),
-              check_theorem("thm11", alpha=1, n_max=8))
+              run_task("thm11", alpha=0, n_max=200),
+              run_task("thm11", alpha=1, n_max=8))
 
 
 def test_criterion_3_pentagonal_crank_sums():
     criterion(3, "pentagonal-weighted crank sums over 50n+49, /5, vanish mod 5",
-              check_theorem("thm13", n_max=10))
+              run_task("thm13", n_max=10))
 
 
 def test_criterion_4_mod7_family():
     criterion(4, "a(7n+2) = 0 mod 7 for n <= 100 and d(7n+16) = 49 d(n/7)",
-              check_theorem("thm14", n_max=100),
-              check_theorem("ch-d", n_max=100))
+              run_task("thm14", n_max=100),
+              run_task("ch-d", n_max=100))
 
 
 def test_criterion_5_triangular_sums():
     criterion(5, "triangular sums: a over 25n+16 mod 5; C over 125n+114, /5, mod 25",
-              check_theorem("thm15a", n_max=20),
-              check_theorem("thm15b", n_max=7))
+              run_task("thm15a", n_max=20),
+              run_task("thm15b", n_max=7))
 
 
 def test_criterion_6_square_sums_and_cubic_relation():
     criterion(6, "alternating-square sums at p=13 (shift 176) and the "
                  "h(13n+35) = +-13 h(n/13) relation with vanishing",
-              check_theorem("thm16", p=13, n_max=1),
-              check_theorem("ch-h", p=13, n_max=100, corollary_n_max=5))
+              run_task("thm16", p=13, n_max=1),
+              run_task("ch-h", p=13, n_max=100, corollary_n_max=5))
 
 
 def test_criterion_7_closing_congruences():
     criterion(7, "pentagonal sums of a over 25n+21 mod 5; cubic sums at p=7 "
                  "(shift 131)",
-              check_theorem("cr1", n_max=20),
-              check_theorem("cr2", p=7, n_max=1))
+              run_task("cr1", n_max=20),
+              run_task("cr2", p=7, n_max=1))
 
 
 def test_criterion_8_identity_suite():
     criterion(8, "quintic dissections, K identities, four closed sums, "
                  "binomial congruences",
-              verify_5dissections(150, which="31"),
-              verify_5dissections(150, which="32"),
-              verify_K_identities(150, which="33"),
-              verify_K_identities(150, which="34"),
+              verify_5dissections(150, "31"),
+              verify_5dissections(150, "32"),
+              verify_K_identities(150, "33"),
+              verify_K_identities(150, "34"),
               verify_theta_identity(ThetaKind.TRIANGULAR, 200),
               verify_theta_identity(ThetaKind.SQUARES, 200),
               verify_theta_identity(ThetaKind.PENT_6K1, 200),
@@ -138,8 +138,8 @@ def test_criterion_8_identity_suite():
 def test_criterion_9_pmn_system():
     criterion(9, "P(m,n) recurrences, symbol/series agreement, five-term "
                  "combination and micro-identities",
-              verify_recurrences(m_max=4, n_min=-3, n_max=3, which="35"),
-              verify_recurrences(m_max=4, n_min=-3, n_max=3, which="36"),
+              verify_recurrences("35", m_max=4, n_min=-3, n_max=3),
+              verify_recurrences("36", m_max=4, n_min=-3, n_max=3),
               verify_series_agreement(order=100, m_max=4, n_min=-3, n_max=3),
               verify_combo_identity(order=100))
 
@@ -147,8 +147,8 @@ def test_criterion_9_pmn_system():
 def test_criterion_10_reduced_columns():
     criterion(10, "A(5n+4) column mod 5 with A(10n+9) vanishing; a(5n+1) "
                   "column mod 5",
-              check_theorem("a54", order=150, n_max=100),
-              check_theorem("a51", order=150))
+              run_task("a54", order=150, n_max=100),
+              run_task("a51", order=150))
 
 
 def test_criterion_10_f_column_quoted_identity():
@@ -167,7 +167,7 @@ def test_criterion_10_f_column_quoted_identity():
     witness = {"check": "identity", "exponent": 11, "lhs": 20, "rhs": 5}
     refuted("10f", "f(5n+2) column refutes the quoted three-term reduction "
                    "mod 25 at exponent 11 (known misprint; 20 vs 5)",
-            check_theorem("f52", order=100, which="identity"), witness)
+            run_task("f52", order=100, which="identity"), witness)
 
     n = witness["exponent"] + 1
     column = [x % 25 for x in naive_f52_column(n)]
@@ -181,19 +181,19 @@ def test_criterion_10_f_column_quoted_identity():
 def test_criterion_10_f_column_corrected_and_vanishing():
     criterion("10g", "f(5n+2) column matches the repaired reduction; "
                      "f(25n+22) vanishes mod 25 for n <= 10",
-              check_theorem("f52-corrected", order=100),
-              check_theorem("f52", which="vanishing", n_max=10))
+              run_task("f52-corrected", order=100),
+              run_task("f52", which="vanishing", n_max=10))
 
 
 def test_criterion_11_oracles():
     criterion(11, "enumeration oracles match the series (crank parity "
                   "excludes the documented n=1 discrepancy)",
-              check_theorem("oracle-crank", n_max=40),
-              check_theorem("oracle-colored", n_max=35))
+              run_task("oracle-crank", n_max=40),
+              run_task("oracle-colored", n_max=35))
 
 
 def test_criterion_12_smoke_congruences():
     criterion(12, "partition congruences mod 5, 7, 11 for n <= 100",
-              check_theorem("smoke5", n_max=100),
-              check_theorem("smoke7", n_max=100),
-              check_theorem("smoke11", n_max=100))
+              run_task("smoke5", n_max=100),
+              run_task("smoke7", n_max=100),
+              run_task("smoke11", n_max=100))

@@ -190,3 +190,29 @@ def test_verify_unsupported_parameter_is_usage_error(capsys, tid, flag, name):
     code, out, err = run(capsys, "verify", "--theorem", tid, flag, "3")
     assert code == 2 and out == ""
     assert err.strip() == f"error: {tid}: unsupported parameter '{name}'"
+
+
+@pytest.mark.parametrize("tid", ["thm13", "thm11", "ch-d", "oracle-colored"])
+def test_verify_n_max_with_order_is_usage_error(capsys, tid):
+    # both bound the same scan; neither may be silently dropped
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--n-max", "2",
+                         "--order", "5000")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {tid}: n_max and order both bound the scan; give one"
+
+
+@pytest.mark.parametrize("m, n", [(1100, 0), (0, 1100)])
+def test_pmn_deep_index(capsys, m, n):
+    # one recurrence step per index: far beyond the interpreter's
+    # recursion limit.  P(m, 0) is the Lucas polynomial L_m(K) and
+    # P(0, n) is L_n(4/K), so the two leading terms are known in closed form.
+    code, out, _ = run(capsys, "pmn", "--m", str(m), "--n", str(n),
+                       "--format", "json")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    if n == 0:
+        assert (terms[str(m)], terms[str(m - 2)]) == (1, m)
+        assert min(map(int, terms)) == 0
+    else:
+        assert (terms[str(-n)], terms[str(2 - n)]) == (4 ** n, n * 4 ** (n - 2))
+        assert max(map(int, terms)) == 0

@@ -2,14 +2,15 @@
 
 import pytest
 
-from crankq.congruence import (CongruenceFamily, Partition, WeightKind,
-                               check_progression, check_theorem,
+from crankq.congruence import (CongruenceFamily, Partition, check_progression,
                                colored_partition_oracle,
                                cooper_hirschhorn_check, crank,
                                crank_parity_oracle, partitions,
-                               solve_24n_condition, theorem_ids, weighted_sum)
+                               solve_24n_condition, weighted_sum)
 from crankq.errors import EnumerationCapExceeded, InexactDivision, OrderExceeded
 from crankq.etaq import SeriesName, named_series
+from crankq.tasks import run_task, task_ids
+from crankq.theta import ThetaKind
 
 from oracles import crank_parity, enum_partitions
 
@@ -77,7 +78,7 @@ def test_oracle_caps():
 
 def test_weighted_sum_pentagonal_crank_example():
     family = CongruenceFamily(SeriesName.C_CRANK, 5, stride=50, offset=49,
-                              weight=WeightKind.PENT_6K1_SUM, scale=25,
+                              weight=ThetaKind.PENT_6K1, scale=25,
                               pre_divisor=5)
     c = named_series("C", 50)
     expected = (c.coeff(49) - 5 * c.coeff(24)) // 5
@@ -87,16 +88,17 @@ def test_weighted_sum_pentagonal_crank_example():
 
 def test_weighted_sum_triangular_example():
     family = CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
-                              weight=WeightKind.TRIANGULAR_SUM, scale=5)
+                              weight=ThetaKind.TRIANGULAR, scale=5)
     a = named_series("a", 17)
     assert weighted_sum(family, 0) == a.coeff(16) + a.coeff(11) + a.coeff(1)
+    assert family.params()["weight"] == "triangular"
 
 
 def test_conv_series_against_per_coefficient_sums():
     # dual route: the triangular convolution of the C(5j+4)/5 column
     # versus summing (1/5) C(5n+4 - 5k(k+1)/2) coefficient by coefficient
     family = CongruenceFamily(SeriesName.C_CRANK, 5, stride=5, offset=4,
-                              weight=WeightKind.TRIANGULAR_SUM, scale=5,
+                              weight=ThetaKind.TRIANGULAR, scale=5,
                               pre_divisor=5)
     f = named_series(SeriesName.F_CONV, 30)
     for n in range(30):
@@ -107,7 +109,7 @@ def test_cap_a_series_against_pentagonal_crank_sums():
     # same dual route for the quotient f_1^2 f_5^6 / f_2^4, whose n-th
     # coefficient is (1/5) sum (1+6k) C(5n+4 - 25k(3k+1)/2)
     family = CongruenceFamily(SeriesName.C_CRANK, 5, stride=5, offset=4,
-                              weight=WeightKind.PENT_6K1_SUM, scale=25,
+                              weight=ThetaKind.PENT_6K1, scale=25,
                               pre_divisor=5)
     big_a = named_series(SeriesName.A_CAP, 25)
     for n in range(25):
@@ -118,7 +120,7 @@ def test_weighted_squares_bridge_to_cubic_product():
     # alternating-square sums of a over 5n+1 reduce to 3 h(n) mod 5: the
     # route behind the 5p^2-progression vanishing at p = 13, 17, 19, 23
     family = CongruenceFamily(SeriesName.A_RECIP, 5, stride=5, offset=1,
-                              weight=WeightKind.SQUARES_SUM, scale=5)
+                              weight=ThetaKind.SQUARES, scale=5)
     a = named_series("a", 5 * 60 + 2)
     h = named_series("h", 61)
     for n in range(61):
@@ -129,7 +131,7 @@ def test_weighted_cubic_bridge():
     # cubic-weighted sums of a over 5n+1 reduce to 3 [q^n] f_2^7/f_1 mod 5
     from crankq.etaq import eta_series
     family = CongruenceFamily(SeriesName.A_RECIP, 5, stride=5, offset=1,
-                              weight=WeightKind.CUBIC_3K1_SUM, scale=5)
+                              weight=ThetaKind.CUBIC_3K1, scale=5)
     a = named_series("a", 5 * 60 + 2)
     target = eta_series({2: 7, 1: -1}, 61)
     for n in range(61):
@@ -140,7 +142,7 @@ def test_weighted_pentagonal_bridge():
     # pentagonal-weighted sums of a over 5n+1 reduce to 3 [q^n] f_1^6 mod 5
     from crankq.etaq import eta_series
     family = CongruenceFamily(SeriesName.A_RECIP, 5, stride=5, offset=1,
-                              weight=WeightKind.PENT_6K1_SUM, scale=5)
+                              weight=ThetaKind.PENT_6K1, scale=5)
     a = named_series("a", 5 * 60 + 2)
     target = eta_series({1: 6}, 61)
     for n in range(61):
@@ -250,10 +252,10 @@ def test_cooper_hirschhorn_preconditions():
 
 
 # ----------------------------------------------------------------------
-# theorem dispatch
+# theorem tasks, run through the task registry
 
 def test_theorem_ids_cover_dispatch():
-    ids = theorem_ids()
+    ids = task_ids()
     for tid in ("thm11", "thm12", "thm13", "thm14", "thm15a", "thm15b",
                 "thm16", "cr1", "cr2", "ch-d", "ch-h", "a54", "a51", "f52",
                 "smoke5", "smoke7", "smoke11"):
@@ -261,29 +263,29 @@ def test_theorem_ids_cover_dispatch():
 
 
 def test_check_theorem_unknown_id():
-    with pytest.raises(ValueError):
-        check_theorem("thm99")
+    with pytest.raises(ValueError, match="unknown task id 'thm99'"):
+        run_task("thm99")
 
 
 def test_check_theorem_single_alpha():
-    report = check_theorem("thm11", alpha=0, n_max=50)
+    report = run_task("thm11", alpha=0, n_max=50)
     assert report.passed
     assert report.params["alphas"] == [0]
 
 
 def test_check_theorem_deterministic_and_idempotent():
-    first = check_theorem("thm13", n_max=4)
-    second = check_theorem("thm13", n_max=4)
+    first = run_task("thm13", n_max=4)
+    second = run_task("thm13", n_max=4)
     assert first.to_dict(include_timing=False) == second.to_dict(include_timing=False)
-    wider = check_theorem("thm13", n_max=6)
+    wider = run_task("thm13", n_max=6)
     assert wider.passed == first.passed == True  # noqa: E712
 
 
 def test_thm16_rejects_bad_prime():
     with pytest.raises(ValueError):
-        check_theorem("thm16", p=11)
+        run_task("thm16", p=11)
 
 
 def test_cr2_rejects_bad_prime():
     with pytest.raises(ValueError):
-        check_theorem("cr2", p=13)   # 13 = 1 mod 12
+        run_task("cr2", p=13)   # 13 = 1 mod 12

@@ -52,9 +52,11 @@ def test_pmn_rejects_negative_m():
 
 
 def test_recurrences_close_on_grid():
-    assert verify_recurrences().passed
-    assert verify_recurrences(which="35").passed
-    assert verify_recurrences(which="36").passed
+    for which in ("35", "36"):
+        report = verify_recurrences(which)
+        assert report.passed and report.task == f"rec{which}"
+    with pytest.raises(ValueError):
+        verify_recurrences("both")
 
 
 def test_recurrence_spot_checks():

@@ -54,17 +54,18 @@ def test_theta_identity_minimal_window():
 # quintic dissections
 
 def test_5dissections_pass():
-    assert verify_5dissections(150).passed
-    assert verify_5dissections(26).passed
-    assert verify_5dissections(150, which="31").passed
-    assert verify_5dissections(150, which="32").passed
+    for which in ("31", "32"):
+        for order in (150, 26):
+            report = verify_5dissections(order, which)
+            assert report.passed and report.task == f"dis{which}"
+            assert (report.params, report.order) == ({"which": which}, order)
 
 
 def test_5dissection_fault_injection():
     # replace the 5 q^4 bracket coefficient of the reciprocal dissection
     # by 4: the comparison must fail exactly at exponent 4
     order = 150
-    lhs, rhs = five_dissection_sides(order)["32"]
+    lhs, rhs = five_dissection_sides(order, "32")
     corrupted = rhs - eta_series({25: 5, 5: -6}, order).shift(4)
     assert lhs.first_diff(corrupted) == 4
     assert lhs.first_diff(rhs) is None
@@ -72,26 +73,27 @@ def test_5dissection_fault_injection():
 
 def test_5dissections_preconditions():
     with pytest.raises(ValueError):
-        verify_5dissections(24)
+        verify_5dissections(24, "31")
     with pytest.raises(ValueError):
-        verify_5dissections(100, which="33")
+        verify_5dissections(100, "33")
 
 
 def test_dissection_right_sides_multiply_to_one():
     order = 150
-    sides = five_dissection_sides(order)
-    product = sides["31"][1] * sides["32"][1]
-    assert product.agree(Series.const(1, order))
+    f1_rhs = five_dissection_sides(order, "31")[1]
+    reciprocal_rhs = five_dissection_sides(order, "32")[1]
+    assert (f1_rhs * reciprocal_rhs).agree(Series.const(1, order))
 
 
 # ----------------------------------------------------------------------
 # K identities
 
 def test_k_identities_pass():
-    assert verify_K_identities(150).passed
-    assert verify_K_identities(10).passed
-    assert verify_K_identities(150, which="33").passed
-    assert verify_K_identities(150, which="34").passed
+    for which in ("33", "34"):
+        for order in (150, 10):
+            report = verify_K_identities(order, which)
+            assert report.passed and report.task == f"k{which}"
+            assert (report.params, report.order) == ({"which": which}, order)
 
 
 def test_k_identity_fault_injection():
@@ -105,9 +107,9 @@ def test_k_identity_fault_injection():
 
 def test_k_identities_preconditions():
     with pytest.raises(ValueError):
-        verify_K_identities(9)
+        verify_K_identities(9, "33")
     with pytest.raises(ValueError):
-        verify_K_identities(100, which="35")
+        verify_K_identities(100, "35")
 
 
 def test_rr_stretch_consistency():
