@@ -10,8 +10,8 @@ The package revolves around four layers:
 * :mod:`crankq.kalgebra` -- the symbolic Laurent algebra in the
   parameter K and the P(m,n) recurrence system, cross-validated against
   direct series evaluation;
-* :mod:`crankq.congruence` and :mod:`crankq.tasks` -- enumeration
-  oracles, arithmetic-progression congruence scans and the registry of
+* :mod:`crankq.congruence` and :mod:`crankq.tasks` -- combinatorial
+  counting oracles, arithmetic-progression congruence scans and the registry of
   verification tasks behind the ``crankq`` command line tool.
 """
 
@@ -26,10 +26,9 @@ from .theta import (ThetaKind, theta_sum, verify_5dissections,
 from .kalgebra import (K, KPolynomial, PmnIndex, eval_at_K, pmn, pmn_series,
                        verify_combo_identity, verify_recurrences,
                        verify_series_agreement)
-from .congruence import (CongruenceFamily, Partition, check_progression,
+from .congruence import (CongruenceFamily, check_progression,
                          colored_partition_oracle, cooper_hirschhorn_check,
-                         crank, crank_parity_oracle, partitions,
-                         solve_24n_condition, weighted_sum)
+                         crank_parity_oracle, solve_24n_condition, weighted_sum)
 from .report import CheckReport
 from . import tasks
 
@@ -46,9 +45,9 @@ __all__ = [
     "verify_theta_identity",
     "K", "KPolynomial", "PmnIndex", "eval_at_K", "pmn", "pmn_series",
     "verify_combo_identity", "verify_recurrences", "verify_series_agreement",
-    "CongruenceFamily", "Partition", "check_progression",
-    "colored_partition_oracle", "cooper_hirschhorn_check", "crank",
-    "crank_parity_oracle", "partitions", "solve_24n_condition", "weighted_sum",
+    "CongruenceFamily", "check_progression",
+    "colored_partition_oracle", "cooper_hirschhorn_check",
+    "crank_parity_oracle", "solve_24n_condition", "weighted_sum",
     "CheckReport", "tasks",
     "__version__",
 ]

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="run a combinatorial enumeration oracle "
+    p = sub.add_parser("oracle", help="run a combinatorial counting oracle "
                                       "against the series")
     p.add_argument("--which", choices=("crank", "colored"), required=True)
     p.add_argument("--n-max", type=int, default=None)

@@ -1,7 +1,8 @@
 """Combinatorial oracles, weighted finite sums and congruence scans.
 
-The oracles enumerate partitions outright and know nothing about series
-arithmetic, so they anchor the generating-function engine from the
+The oracles count partitions from their combinatorial definitions, on
+plain integer lists, in one O(n_max^2) pass for every n <= n_max; they
+use nothing of the series arithmetic, so they anchor the engine from the
 combinatorial side.  :func:`check_progression` drives the generic claim
 "this weighted sum over an arithmetic progression vanishes modulo M" and
 :func:`cooper_hirschhorn_check` the multiplicative coefficient relations;
@@ -9,7 +10,7 @@ the named claims of the paper are bound to task ids in
 :mod:`crankq.tasks`, on top of this machinery.
 
 One genuine subtlety is pinned down here rather than papered over: at
-n = 1 the crank enumeration gives -1 while the crank parity generating
+n = 1 the crank count gives -1 while the crank parity generating
 function f_1^3/f_2^2 has coefficient -3.  The sequence defined by the
 generating function is the object every congruence is about, so the
 oracle comparison excludes n = 1 and reports the discrepancy explicitly.
@@ -18,8 +19,7 @@ oracle comparison excludes n = 1 and reports the discrepancy explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import CrankqError, EnumerationCapExceeded, InexactDivision
 from .etaq import SeriesName, named_series, resolve_name
@@ -28,9 +28,6 @@ from .series import Series
 from .theta import ThetaKind, theta_sum
 
 __all__ = [
-    "Partition",
-    "crank",
-    "partitions",
     "crank_parity_oracle",
     "colored_partition_oracle",
     "CongruenceFamily",
@@ -38,139 +35,98 @@ __all__ = [
     "check_progression",
     "solve_24n_condition",
     "cooper_hirschhorn_check",
-    "CRANK_ORACLE_CAP",
-    "COLORED_ORACLE_CAP",
+    "ORACLE_CAP",
     "ORACLES",
     "oracle_rows",
 ]
 
-CRANK_ORACLE_CAP = 45
-COLORED_ORACLE_CAP = 40
+ORACLE_CAP = 1000
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Non-increasing positive parts; the empty partition is allowed."""
+def crank_parity_oracle(n_max: int) -> list[int]:
+    """(# partitions of n with even crank) - (# with odd crank) for
+    n = 0 .. n_max, counted without listing a partition.
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = None
-        for p in self.parts:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
-            if prev is not None and p > prev:
-                raise ValueError("parts must be non-increasing")
-            prev = p
-
-    @property
-    def num_ones(self) -> int:
-        return sum(1 for p in self.parts if p == 1)
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    def total(self) -> int:
-        return sum(self.parts)
-
-
-def crank(partition: Union[Partition, Sequence[int]]) -> int:
-    """Crank statistic: the largest part when there are no ones, else the
-    number of parts exceeding the count of ones minus that count.
-
-    The empty partition has crank 0 (even), consistent with the
-    constant term of the crank parity generating function.
+    Split the partitions by w, their number of ones (Andrews-Garvan 1988).
+    With w = 0 the crank is the largest part L: L plus a partition of
+    n - L into parts in [2, L].  With w >= 1 it is mu - w, mu the number
+    of parts above w, so the class adds (-1)^w [q^(n-w)]
+    prod_(2<=k<=w) 1/(1-q^k) prod_(k>w) 1/(1+q^k).
     """
-    if not isinstance(partition, Partition):
-        partition = Partition(tuple(partition))
-    ones = partition.num_ones
-    if ones == 0:
-        return partition.largest
-    above = sum(1 for p in partition.parts if p > ones)
-    return above - ones
-
-
-def partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as non-increasing tuples."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    cap = min(max_part or n, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
-def crank_parity_oracle(n: int, cap: int = CRANK_ORACLE_CAP) -> int:
-    """(# partitions of n with even crank) - (# with odd crank), by
-    exhaustive enumeration."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > cap:
-        raise EnumerationCapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
-    total = 0
-    for parts in partitions(n):
-        total += -1 if crank(Partition(parts)) % 2 else 1
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    total = [1] + [0] * n_max            # the empty partition, crank 0
+    bounded = [1] + [0] * n_max          # parts in [2, largest]
+    signed = [1] + [0] * n_max           # parts >= 2, those above w count -1
+    for largest in range(2, n_max + 1):
+        for m in range(largest, n_max + 1):
+            bounded[m] += bounded[m - largest]
+            signed[m] -= signed[m - largest]
+        sign = (-1) ** largest
+        for n in range(largest, n_max + 1):
+            total[n] += sign * bounded[n - largest]
+    for w in range(1, n_max + 1):        # signed starts at w = 1
+        top = n_max - w                  # signed is read up to q^top
+        if w >= 2:                       # times (1 + q^w), over (1 - q^w)
+            for m in range(top, w - 1, -1):
+                signed[m] += signed[m - w]
+            for m in range(w, top + 1):
+                signed[m] += signed[m - w]
+        sign = (-1) ** w
+        for n in range(w, n_max + 1):
+            total[n] += sign * signed[n - w]
     return total
 
 
-def colored_partition_oracle(n: int, cap: int = COLORED_ORACLE_CAP) -> int:
-    """Partitions of n with each odd part in one of three colors.
+def colored_partition_oracle(n_max: int) -> list[int]:
+    """Partitions of n with each odd part in one of three colors, for
+    n = 0 .. n_max, by a DP over part sizes.
 
-    Colored copies of equal size and color are indistinguishable, so a
-    part size with multiplicity k contributes the number of 3-color
-    multisets of size k, C(k+2, 2).
+    An odd size used k times contributes C(k+2, 2), the ways to split k
+    among three colors; one coin-change step per color takes those splits.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > cap:
-        raise EnumerationCapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
-    total = 0
-    for parts in partitions(n):
-        ways = 1
-        for size in set(parts):
-            if size % 2:
-                ways *= comb(parts.count(size) + 2, 2)
-        total += ways
-    return total
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    ways = [1] + [0] * n_max
+    for size in range(1, n_max + 1):
+        for _ in range(3 if size % 2 else 1):
+            for m in range(size, n_max + 1):
+                ways[m] += ways[m - size]
+    return ways
 
 
 class OracleSpec(NamedTuple):
-    """How an enumeration oracle is compared with its series."""
+    """How a counting oracle is compared with its series."""
 
     label: str
     series: SeriesName
-    cap: int
     default_n_max: int
     excluded: tuple[int, ...] = ()   # documented discrepancies, not compared
 
 
 ORACLES = {
-    "crank": OracleSpec("crank-parity", SeriesName.C_CRANK, CRANK_ORACLE_CAP, 40, (1,)),
-    "colored": OracleSpec("colored-partition", SeriesName.A_RECIP,
-                          COLORED_ORACLE_CAP, 35),
+    "crank": OracleSpec("crank-parity", SeriesName.C_CRANK, 40, (1,)),
+    "colored": OracleSpec("colored-partition", SeriesName.A_RECIP, 35),
 }
 
 
 def oracle_rows(which: str, n_max: int) -> tuple[list[dict], list[dict]]:
-    """Enumeration against series coefficient for 0 <= n <= n_max.
+    """Combinatorial count against series coefficient for 0 <= n <= n_max.
 
     Returns every row and, in n order, the rows that disagree outside the
-    oracle's excluded n.  An n_max above the cap raises before any work.
+    oracle's excluded n.  An n_max above ``ORACLE_CAP`` raises before any
+    work, a negative one before the series is built.
     """
     spec = ORACLES[which]
-    if n_max > spec.cap:
+    if n_max > ORACLE_CAP:
         raise EnumerationCapExceeded(
-            f"n_max = {n_max} exceeds the {spec.label} enumeration cap {spec.cap}")
-    # resolved per call, not stored in ORACLES, so that wrapping the module
-    # functions (as the benchmark tracer does) also covers these calls
+            f"n_max = {n_max} exceeds the {spec.label} oracle cap {ORACLE_CAP}")
+    # looked up per call, so that wrappers of the module functions apply
     count = crank_parity_oracle if which == "crank" else colored_partition_oracle
+    counts = count(n_max)
     series = named_series(spec.series, n_max + 1)
-    rows = [{"n": n, "enumeration": count(n), "coefficient": series.coeff(n)}
-            for n in range(n_max + 1)]
+    rows = [{"n": n, "enumeration": e, "coefficient": series.coeff(n)}
+            for n, e in enumerate(counts)]
     mismatches = [row for row in rows if row["n"] not in spec.excluded
                   and row["enumeration"] != row["coefficient"]]
     return rows, mismatches
@@ -275,10 +231,13 @@ def _n_max_for(n_max: Optional[int], order: Optional[int], stride: int,
     """Scan length of a progression stride*n + offset: ``n_max`` when
     given, else the most steps whose index stays below ``order`` (at least
     one step), else ``default``.  Both bound the same scan, so giving both
-    raises :class:`CrankqError` rather than silently dropping one."""
+    raises :class:`CrankqError` rather than silently dropping one, as does
+    a negative ``n_max``."""
     if n_max is not None and order is not None:
         raise CrankqError("n_max and order both bound the scan; give one")
     if n_max is not None:
+        if n_max < 0:
+            raise CrankqError(f"n_max must be >= 0, got {n_max}")
         return n_max
     if order is None:
         return default

@@ -25,4 +25,8 @@ class InexactDivision(CrankqError):
 
 
 class EnumerationCapExceeded(CrankqError):
-    """A brute-force enumeration oracle was asked to exceed its size cap."""
+    """A combinatorial oracle was asked for an n_max above ``ORACLE_CAP``.
+
+    The counts are exact at any n; the cap bounds the O(n_max^2)
+    big-integer work of one request.
+    """

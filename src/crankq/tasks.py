@@ -199,25 +199,19 @@ def _check_f52_corrected(order: int = 100) -> CheckReport:
                                      failures)
 
 
-def _check_oracle_crank(n_max: Optional[int] = None,
-                        order: Optional[int] = None) -> CheckReport:
-    """Enumeration oracle against the series coefficients, excluding the
-    documented n = 1 discrepancy (enumeration -1 vs coefficient -3)."""
-    spec = ORACLES["crank"]
+def _check_oracle(which: str, n_max: Optional[int] = None,
+                  order: Optional[int] = None) -> CheckReport:
+    """Counting oracle against its series; the crank oracle excludes and
+    reports the documented n = 1 discrepancy (count -1 vs coefficient -3)."""
+    spec = ORACLES[which]
     n_max = _n_max_for(n_max, order, 1, 0, spec.default_n_max)
-    rows, mismatches = oracle_rows("crank", n_max)
-    params = {"n_max": n_max, "excluded": list(spec.excluded),
-              "n1_discrepancy": rows[1] if n_max >= 1 else None}
-    return CheckReport.from_failures("oracle-crank", params, n_max + 1, mismatches)
-
-
-def _check_oracle_colored(n_max: Optional[int] = None,
-                          order: Optional[int] = None) -> CheckReport:
-    """Colored-partition enumeration against the reciprocal series."""
-    n_max = _n_max_for(n_max, order, 1, 0, ORACLES["colored"].default_n_max)
-    _, mismatches = oracle_rows("colored", n_max)
-    return CheckReport.from_failures("oracle-colored", {"n_max": n_max},
-                                     n_max + 1, mismatches)
+    rows, mismatches = oracle_rows(which, n_max)
+    params = {"n_max": n_max}
+    if which == "crank":
+        params.update(excluded=list(spec.excluded),
+                      n1_discrepancy=rows[1] if n_max >= 1 else None)
+    return CheckReport.from_failures(f"oracle-{which}", params, n_max + 1,
+                                     mismatches)
 
 
 def _binom_suite(order: int = 150,
@@ -290,10 +284,10 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
     "f52-corrected": ("f(5n+2) column vs repaired reduction, exactly and mod 25",
                       _check_f52_corrected),
     # combinatorial oracles
-    "oracle-crank": ("crank parity enumeration matches the series (n=1 excluded)",
-                     _check_oracle_crank),
-    "oracle-colored": ("3-colored odd-part enumeration matches the series",
-                       _check_oracle_colored),
+    "oracle-crank": ("crank parity count matches the series (n=1 excluded)",
+                     partial(_check_oracle, "crank")),
+    "oracle-colored": ("3-colored odd-part count matches the series",
+                       partial(_check_oracle, "colored")),
     # series identities
     "dis31": ("quintic dissection of the Euler product",
               partial(theta.verify_5dissections, order=150, which="31")),
@@ -342,8 +336,8 @@ def run_task(tid: str, order: Optional[int] = None, **kw) -> CheckReport:
     """Run one registry task and time it into the report's ``elapsed_ms``.
 
     Every task accepts ``order``; the symbolic recurrence tasks have none
-    and ignore it.  Unknown ids raise ValueError, parameters the task does
-    not take raise :class:`CrankqError`.
+    and ignore it.  Unknown ids raise ValueError; parameters the task does
+    not take, and an ``order`` below 1, raise :class:`CrankqError`.
     """
     entry = _REGISTRY.get(tid)
     if entry is None:
@@ -353,6 +347,8 @@ def run_task(tid: str, order: Optional[int] = None, **kw) -> CheckReport:
     unsupported = sorted(set(kw) - set(accepted))
     if unsupported:
         raise CrankqError("unsupported parameter " + ", ".join(map(repr, unsupported)))
+    if order is not None and order < 1:
+        raise CrankqError(f"order must be >= 1, got {order}")
     if order is not None and "order" in accepted:
         kw["order"] = order
     started = perf_counter()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from crankq.cli import main
+from crankq.congruence import ORACLE_CAP
 
 
 def run(capsys, *argv):
@@ -99,11 +100,37 @@ def test_oracle_crank_excludes_known_discrepancy(capsys):
     assert "excluded: known discrepancy" in out
 
 
-@pytest.mark.parametrize("which, cap", [("crank", 45), ("colored", 40)])
-def test_oracle_n_max_above_cap_is_usage_error(capsys, which, cap):
-    code, out, err = run(capsys, "oracle", "--which", which, "--n-max", str(cap + 1))
+@pytest.mark.parametrize("which", ["crank", "colored"])
+def test_oracle_n_max_above_cap_is_usage_error(capsys, which):
+    code, out, err = run(capsys, "oracle", "--which", which, "--n-max",
+                         str(ORACLE_CAP + 1))
     assert code == 2 and out == ""
-    assert f"n_max = {cap + 1} exceeds" in err and f"enumeration cap {cap}" in err
+    assert f"n_max = {ORACLE_CAP + 1} exceeds" in err
+    assert f"oracle cap {ORACLE_CAP}" in err
+
+
+@pytest.mark.parametrize("which", ["crank", "colored"])
+def test_oracle_negative_n_max_is_usage_error(capsys, which):
+    code, out, err = run(capsys, "oracle", "--which", which, "--n-max", "-1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: n_max must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("tid", ["ch-d", "ch-h"])
+def test_verify_negative_n_max_is_usage_error(capsys, tid):
+    # a negative scan length used to pass vacuously
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--n-max", "-1")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {tid}: n_max must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("tid", ["thm12", "a51", "a54", "smoke5", "oracle-crank"])
+def test_verify_order_below_one_is_usage_error(capsys, tid):
+    # one check in run_task, in place of a leaked internal message or a
+    # vacuous PASS
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--order", "0")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {tid}: order must be >= 1, got 0"
 
 
 def test_pmn_json(capsys):
@@ -178,9 +205,11 @@ def test_verify_oracle_honours_order(capsys, tid, default_n_max):
     assert (payload["params"]["n_max"], payload["order"]) == (9, 10)
     code, out, _ = run(capsys, "verify", "--theorem", tid, "--format", "json")
     assert json.loads(out)["params"]["n_max"] == default_n_max
-    code, out, err = run(capsys, "verify", "--theorem", tid, "--order", "100")
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--order",
+                         str(ORACLE_CAP + 2))
     assert code == 2 and out == ""
-    assert f"error: {tid}: n_max = 99 exceeds" in err and "enumeration cap" in err
+    assert f"error: {tid}: n_max = {ORACLE_CAP + 1} exceeds" in err
+    assert f"oracle cap {ORACLE_CAP}" in err
 
 
 @pytest.mark.parametrize("tid, flag, name", [("thm12", "--p", "p"),

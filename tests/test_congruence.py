@@ -2,75 +2,93 @@
 
 import pytest
 
-from crankq.congruence import (CongruenceFamily, Partition, check_progression,
+from crankq import etaq, series, theta
+from crankq.congruence import (ORACLE_CAP, CongruenceFamily, check_progression,
                                colored_partition_oracle,
-                               cooper_hirschhorn_check, crank,
-                               crank_parity_oracle, partitions,
-                               solve_24n_condition, weighted_sum)
+                               cooper_hirschhorn_check, crank_parity_oracle,
+                               oracle_rows, solve_24n_condition, weighted_sum)
 from crankq.errors import EnumerationCapExceeded, InexactDivision, OrderExceeded
 from crankq.etaq import SeriesName, named_series
 from crankq.tasks import run_task, task_ids
 from crankq.theta import ThetaKind
 
-from oracles import crank_parity, enum_partitions
+from oracles import colored_count, crank_of, crank_parity, enum_partitions
 
 
 def test_crank_basic_values():
-    assert crank((4,)) == 4
-    assert crank((1, 1, 1)) == -3
-    assert crank((3, 1)) == 0
-    assert crank(()) == 0
+    assert crank_of((4,)) == 4
+    assert crank_of((1, 1, 1)) == -3
+    assert crank_of((3, 1)) == 0
+    assert crank_of(()) == 0
 
 
 def test_crank_full_enumeration_of_four():
-    got = {parts: crank(parts) for parts in partitions(4)}
+    got = {parts: crank_of(parts) for parts in enum_partitions(4)}
     assert got == {(4,): 4, (3, 1): 0, (2, 2): 2, (2, 1, 1): -2,
                    (1, 1, 1, 1): -4}
     assert all(c % 2 == 0 for c in got.values())
+    assert crank_parity_oracle(4)[4] == len(got)
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((0,))
-    assert Partition((3, 1)).num_ones == 1
-    assert Partition(()).largest == 0
+def test_counts_match_enumeration():
+    crank, colored = crank_parity_oracle(25), colored_partition_oracle(25)
+    assert crank == [crank_parity(n) for n in range(26)]
+    assert colored == [colored_count(n) for n in range(26)]
 
 
-def test_partitions_against_independent_enumeration():
-    for n in range(9):
-        assert sorted(partitions(n)) == sorted(enum_partitions(n))
+def test_counts_match_series_up_to_cap():
+    crank = crank_parity_oracle(ORACLE_CAP)
+    colored = colored_partition_oracle(ORACLE_CAP)
+    assert len(crank) == len(colored) == ORACLE_CAP + 1
+    c, a = named_series("C", ORACLE_CAP + 1), named_series("a", ORACLE_CAP + 1)
+    assert [n for n in range(ORACLE_CAP + 1) if crank[n] != c.coeff(n)] == [1]
+    assert (crank[1], c.coeff(1)) == (-1, -3)
+    assert colored == [a.coeff(n) for n in range(ORACLE_CAP + 1)]
+
+
+@pytest.mark.parametrize("count", [crank_parity_oracle, colored_partition_oracle])
+def test_counts_use_no_series_code(count):
+    # the oracles check the series kernel, so they may not be built on it
+    kernel = {"series", "etaq", "theta"}
+    for module in (series, etaq, theta):
+        kernel |= {name for name in vars(module) if not name.startswith("__")}
+    assert not set(count.__code__.co_names) & kernel
 
 
 def test_crank_parity_oracle_values():
-    assert crank_parity_oracle(0) == 1
-    assert crank_parity_oracle(4) == 5
-    assert crank_parity_oracle(4) == named_series("C", 5).coeff(4)
+    values = crank_parity_oracle(4)
+    assert values[0] == 1
+    assert values[4] == 5
+    assert values[4] == named_series("C", 5).coeff(4)
+    assert crank_parity_oracle(0) == [1]
 
 
 def test_crank_parity_anomaly_at_one():
-    # enumeration gives -1 but the generating-function coefficient is -3;
+    # the count gives -1 but the generating-function coefficient is -3;
     # the sequence defined by the series is the object under test, so
     # every oracle comparison excludes n = 1
-    assert crank_parity_oracle(1) == -1
+    assert crank_parity_oracle(1)[1] == -1
     assert named_series("C", 2).coeff(1) == -3
-    assert crank_parity_oracle(1) == crank_parity(1)
+    assert crank_parity_oracle(1)[1] == crank_parity(1)
+    rows, mismatches = oracle_rows("crank", 1)
+    assert rows[1] == {"n": 1, "enumeration": -1, "coefficient": -3}
+    assert mismatches == []
 
 
 def test_colored_oracle_values():
-    assert colored_partition_oracle(0) == 1
-    assert colored_partition_oracle(1) == 3
-    assert colored_partition_oracle(2) == 7
+    assert colored_partition_oracle(2) == [1, 3, 7]
+    assert colored_partition_oracle(0) == [1]
 
 
 def test_oracle_caps():
-    with pytest.raises(EnumerationCapExceeded):
-        crank_parity_oracle(46)
-    with pytest.raises(EnumerationCapExceeded):
-        colored_partition_oracle(41)
-    with pytest.raises(ValueError):
-        crank_parity_oracle(-1)
+    for which, count in (("crank", crank_parity_oracle),
+                         ("colored", colored_partition_oracle)):
+        with pytest.raises(EnumerationCapExceeded,
+                           match=f"n_max = {ORACLE_CAP + 1} exceeds .* cap {ORACLE_CAP}"):
+            oracle_rows(which, ORACLE_CAP + 1)
+        for run in (count, lambda n: oracle_rows(which, n)):
+            with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+                run(-1)
 
 
 # ----------------------------------------------------------------------
