@@ -23,9 +23,9 @@ from .etaq import (EtaQuotientSpec, SeriesName, binomial_congruence_check,
                    rr_series, rr_stretch)
 from .theta import (ThetaKind, theta_sum, verify_5dissections,
                     verify_K_identities, verify_theta_identity)
-from .kalgebra import (K, KPolynomial, PmnIndex, eval_at_K, pmn, pmn_series,
-                       verify_combo_identity, verify_recurrences,
-                       verify_series_agreement)
+from .kalgebra import (K, KPolynomial, PmnIndex, eval_at_K, eval_at_K_many, pmn,
+                       pmn_series, pmn_series_grid, verify_combo_identity,
+                       verify_recurrences, verify_series_agreement)
 from .congruence import (CongruenceFamily, check_progression,
                          colored_partition_oracle, cooper_hirschhorn_check,
                          crank_parity_oracle, solve_24n_condition, weighted_sum)
@@ -43,7 +43,8 @@ __all__ = [
     "parse_quotient", "rr_series", "rr_stretch",
     "ThetaKind", "theta_sum", "verify_5dissections", "verify_K_identities",
     "verify_theta_identity",
-    "K", "KPolynomial", "PmnIndex", "eval_at_K", "pmn", "pmn_series",
+    "K", "KPolynomial", "PmnIndex", "eval_at_K", "eval_at_K_many", "pmn",
+    "pmn_series", "pmn_series_grid",
     "verify_combo_identity", "verify_recurrences", "verify_series_agreement",
     "CongruenceFamily", "check_progression",
     "colored_partition_oracle", "cooper_hirschhorn_check",

@@ -170,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every task")
     p.add_argument("--alpha", type=int, help="power index where applicable")
     p.add_argument("--p", type=int, help="prime parameter where applicable")
-    p.add_argument("--n-max", type=int, help="progression scan bound")
+    p.add_argument("--n-max", type=int,
+                   help="progression scan bound; on the P(m,n) grid tasks "
+                        "(rec35, rec36, pmn-eval), the top of n")
     p.add_argument("--order", type=int, default=None,
                    help="override the task's default order")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .report import CheckReport, first_mismatch
 from .series import Series, sparse_pass
@@ -35,7 +35,10 @@ __all__ = [
     "theta_terms",
     "eta_factors",
     "rr_factors",
+    "apply_factors",
     "factor_product",
+    "climb",
+    "power_sums",
     "power_sum",
     "rr_series",
     "rr_stretch",
@@ -148,7 +151,7 @@ def rr_factors(m: int, e: int = 1) -> list[Factor]:
     return [(5 * m, 3 * m, e), (5 * m, m, -e)]
 
 
-def _apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
+def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
     """Multiply a dense coefficient list in place by a product of factors."""
     for p, r, e in factors:
         sparse_pass(coeffs, theta_terms(p, r, len(coeffs)), e)
@@ -159,33 +162,54 @@ def factor_product(factors: Iterable[Factor], order: int, shift: int = 0) -> Ser
     if order <= shift:
         raise ValueError(f"order {order} must exceed the shift {shift}")
     coeffs = [1] + [0] * (order - shift - 1)
-    _apply_factors(coeffs, factors)
+    apply_factors(coeffs, factors)
     return Series(shift, coeffs, order)
+
+
+def climb(coeffs: list[int], factors: Sequence[Factor],
+          steps: int) -> Iterator[list[int]]:
+    """Yield ``coeffs`` times X^0, X^1, ..., X^steps, X the product of ``factors``.
+
+    One list is multiplied in place by X between yields (divided by X when
+    ``steps`` is negative), so each step costs one set of passes and a
+    caller that keeps a power keeps a copy.
+    """
+    step = factors if steps >= 0 else [(p, r, -e) for p, r, e in factors]
+    yield coeffs
+    for _ in range(abs(steps)):
+        apply_factors(coeffs, step)
+        yield coeffs
+
+
+def power_sums(sums: Iterable[Iterable[tuple[int, int, int]]],
+               factors: Sequence[Factor], order: int) -> Iterator[Series]:
+    """For each list of (s, c, p) terms, the sum of c * q^s * X^p, X the
+    product of ``factors``; yielded one at a time, in the order given.
+
+    The powers of X that any sum needs are climbed once, outward from
+    X^0 = 1, and shared by every sum.
+    """
+    sums = [[t for t in terms if t[0] < order] for terms in sums]
+    powers = {p for terms in sums for _, _, p in terms}
+    low = min((s for terms in sums for s, _, _ in terms), default=0)
+    ladder = {}
+    for top in (max(powers, default=0), min(powers, default=0)):
+        x = [1] + [0] * (order - low - 1)
+        for k, xk in enumerate(climb(x, factors, top)):
+            p = k if top >= 0 else -k
+            if p in powers:
+                ladder[p] = xk[:]
+    for terms in sums:
+        out = [0] * (order - low)
+        for s, c, p in terms:
+            out[s - low:] = [o + c * y for o, y in zip(out[s - low:], ladder[p])]
+        yield Series(low, out, order)
 
 
 def power_sum(terms: Iterable[tuple[int, int, int]], factors: Sequence[Factor],
               order: int) -> Series:
-    """Sum of c * q^s * X^p over (s, c, p) terms, X the product of ``factors``.
-
-    The powers of X are climbed one at a time from the lowest one, so a
-    run of consecutive powers costs one set of passes per step.
-    """
-    terms = sorted(terms, key=lambda t: t[2])
-    if not terms:
-        return Series.zero(order)
-    low = min(s for s, _, _ in terms)
-    if low >= order:
-        return Series.zero(order)
-    out = [0] * (order - low)
-    power = terms[0][2]
-    x = [1] + [0] * (order - low - 1)
-    _apply_factors(x, [(p, r, e * power) for p, r, e in factors])
-    for s, c, p in terms:
-        if p > power:
-            _apply_factors(x, [(pp, r, e * (p - power)) for pp, r, e in factors])
-            power = p
-        out[s - low:] = [o + c * y for o, y in zip(out[s - low:], x)]
-    return Series(low, out, order)
+    """Sum of c * q^s * X^p over (s, c, p) terms: :func:`power_sums` of one."""
+    return next(power_sums([terms], factors, order))
 
 
 def eta_quotient(spec: EtaQuotientSpec, order: int) -> Series:

@@ -21,10 +21,11 @@ in the Laurent ring.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .etaq import (NAMED_SPECS, SeriesName, eta_factors, factor_product,
-                   power_sum, rr_factors)
+from .errors import CrankqError
+from .etaq import (NAMED_SPECS, SeriesName, apply_factors, climb, eta_factors,
+                   power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -33,7 +34,9 @@ __all__ = [
     "K",
     "PmnIndex",
     "pmn",
+    "pmn_series_grid",
     "pmn_series",
+    "eval_at_K_many",
     "eval_at_K",
     "verify_recurrences",
     "verify_series_agreement",
@@ -224,33 +227,71 @@ def pmn(m: int, n: int) -> KPolynomial:
         return _pmn(m, n)
 
 
-def pmn_series(m: int, n: int, order: int) -> Series:
-    """P(m, n) evaluated directly from the R-series.
+def _check_grid(m_min: int, m_max: int, n_min: int, n_max: int) -> dict[str, int]:
+    """The grid's bounds as report params; an empty grid is refused."""
+    if m_max < m_min or n_max < n_min:
+        raise CrankqError(f"the grid m in [{m_min}, {m_max}], n in "
+                          f"[{n_min}, {n_max}] is empty")
+    return {"m_max": m_max, "n_min": n_min, "n_max": n_max}
+
+
+_U = rr_factors(1, 1) + rr_factors(2, 2)    # u = q R1 R2^2, without its q
+_V = rr_factors(1, 2) + rr_factors(2, -1)   # v = R1^2 / R2
+
+
+def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
+                    order: int) -> Iterator[tuple[PmnIndex, Series]]:
+    """P(m, n) evaluated directly from the R-series on a grid, m-major.
 
     The two defining terms are t = q^m R1^(m+2n) R2^(2m-n) and its
-    reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2); each
-    is one list of factor passes.
+    reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2).  As
+    t = u^m v^n, the first point is built from its factors, each row's
+    first point from the one before by u's passes and each row by v's
+    passes; 1/t takes the same steps with multiply and divide swapped.
+    Only the current row's first and current point are kept.
     """
-    if m < 0:
+    if m_min < 0:
         raise ValueError("m must be >= 0")
-    if order <= m:
-        raise ValueError(f"order must exceed m = {m} for the reciprocal term")
-    factors = rr_factors(1, m + 2 * n) + rr_factors(2, 2 * m - n)
-    t = factor_product(factors, order, m)
-    inverse = factor_product([(p, r, -e) for p, r, e in factors], order, -m)
-    return inverse + (t if (m + n) % 2 == 0 else -t)
+    _check_grid(m_min, m_max, n_min, n_max)
+    if order <= m_max:
+        raise ValueError(f"order must exceed m = {m_max} for the reciprocal term")
+    width = order + m_max        # 1/t(m, n) starts at q^-m
+    corner = rr_factors(1, m_min + 2 * n_min) + rr_factors(2, 2 * m_min - n_min)
+    firsts = []
+    for sign in (1, -1):
+        x = [1] + [0] * (width - 1)
+        apply_factors(x, [(p, r, sign * e) for p, r, e in corner])
+        firsts.append(climb(x, _U, sign * (m_max - m_min)))
+    for m, (t_first, inv_first) in enumerate(zip(*firsts), m_min):
+        row = zip(climb(t_first[:], _V, n_max - n_min),
+                  climb(inv_first[:], _V, n_min - n_max))
+        for n, (t, inv) in enumerate(row, n_min):
+            sign = 1 if (m + n) % 2 == 0 else -1
+            yield (PmnIndex(m, n), Series(-m, inv[:order + m], order)
+                   + Series(m, t[:order - m], order) * sign)
 
 
-def eval_at_K(p: KPolynomial, order: int) -> Series:
-    """Substitute the Laurent q-series value of K into p.
+def pmn_series(m: int, n: int, order: int) -> Series:
+    """P(m, n) evaluated directly from the R-series: the one-point grid."""
+    return next(pmn_series_grid(m, m, n, n, order))[1]
 
-    K^d is q^(-d) times the d-th power of K's eta factors, climbed one
-    degree at a time by :func:`~crankq.etaq.power_sum`.
+
+def eval_at_K_many(polys: Iterable[KPolynomial], order: int) -> Iterator[Series]:
+    """Substitute the Laurent q-series value of K into each polynomial.
+
+    K^d is q^(-d) times the d-th power of K's eta factors; the powers
+    that any of the polynomials needs are climbed once and shared
+    (:func:`~crankq.etaq.power_sums`).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return power_sum([(_K_SPEC.shift * d, c, d) for d, c in p.items()],
-                     eta_factors(_K_SPEC), order)
+    return power_sums([[(_K_SPEC.shift * d, c, d) for d, c in p.items()] for p in polys],
+                      eta_factors(_K_SPEC), order)
+
+
+def eval_at_K(p: KPolynomial, order: int) -> Series:
+    """Substitute the Laurent q-series value of K into p: one polynomial."""
+    return next(eval_at_K_many([p], order))
 
 
 def verify_recurrences(which: str, m_max: int = 4, n_min: int = -3,
@@ -260,6 +301,7 @@ def verify_recurrences(which: str, m_max: int = 4, n_min: int = -3,
     step = {"35": "n-step", "36": "m-step"}.get(which)
     if step is None:
         raise ValueError(f"unknown recurrence selector {which!r}")
+    params = _check_grid(0, m_max, n_min, n_max)
     failures = []
     for m in range(m_max + 1):
         for n in range(n_min, n_max + 1):
@@ -269,21 +311,25 @@ def verify_recurrences(which: str, m_max: int = 4, n_min: int = -3,
                 holds = pmn(m + 2, n) == K * pmn(m + 1, n) + pmn(m, n)
             if not holds:
                 failures.append({"recurrence": step, "m": m, "n": n})
-    params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
     return CheckReport.from_failures(f"rec{which}", params, 0, failures)
 
 
 def verify_series_agreement(order: int = 100, m_max: int = 3,
                             n_min: int = -2, n_max: int = 2) -> CheckReport:
-    """eval_at_K(pmn) against the direct R-series evaluation on a grid."""
-    failures = []
-    for m in range(m_max + 1):
-        for n in range(n_min, n_max + 1):
-            diff = first_mismatch(eval_at_K(pmn(m, n), order), pmn_series(m, n, order),
-                                  keys=("symbolic", "direct"))
-            if diff:
-                failures.append({"m": m, "n": n, **diff})
-    params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
+    """eval_at_K(pmn) against the direct R-series evaluation on a grid.
+
+    Both sides are streamed in m-major order, so the witness is the first
+    failing point in that order.
+    """
+    params = _check_grid(0, m_max, n_min, n_max)
+    if order <= m_max:
+        raise CrankqError(f"order must exceed m_max = {m_max}, got {order}")
+    symbolic = eval_at_K_many((pmn(m, n) for m in range(m_max + 1)
+                               for n in range(n_min, n_max + 1)), order)
+    direct = pmn_series_grid(0, m_max, n_min, n_max, order)
+    failures = ({"m": m, "n": n, **diff}
+                for s, ((m, n), d) in zip(symbolic, direct)
+                if (diff := first_mismatch(s, d, keys=("symbolic", "direct"))))
     return CheckReport.from_failures("pmn-eval", params, order, failures)
 
 
@@ -311,7 +357,7 @@ def verify_combo_identity(order: int = 100) -> CheckReport:
     lhs, rhs = combo_sides()
     if lhs != rhs:
         failures.append({"check": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
-    diff = first_mismatch(eval_at_K(lhs, order), eval_at_K(rhs, order))
+    diff = first_mismatch(*eval_at_K_many([lhs, rhs], order))
     if diff:
         failures.append({"check": "series", "exponent": diff["exponent"]})
     micro1_lhs = 1 + pmn(0, -1)

@@ -133,6 +133,30 @@ def test_verify_order_below_one_is_usage_error(capsys, tid):
     assert err.strip() == f"error: {tid}: order must be >= 1, got 0"
 
 
+@pytest.mark.parametrize("tid, argv", [
+    ("pmn-eval", ["--n-max", "-5", "--order", "50"]),
+    ("rec35", ["--n-max", "-9"]),
+    ("rec36", ["--n-max", "-9"]),
+], ids=["pmn-eval", "rec35", "rec36"])
+def test_verify_empty_grid_is_usage_error(capsys, tid, argv):
+    # n_max below the grid's n_min = -3 used to pass with nothing checked
+    code, out, err = run(capsys, "verify", "--theorem", tid, *argv)
+    assert code == 2 and out == ""
+    n_max = argv[1]
+    assert err.strip() == (f"error: {tid}: the grid m in [0, 4], n in [-3, {n_max}] "
+                           "is empty")
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_verify_pmn_eval_order_at_most_m_max_is_usage_error(capsys, order):
+    # checked once, before any work, against the grid's m_max = 4 rather
+    # than whichever grid point failed first
+    code, out, err = run(capsys, "verify", "--theorem", "pmn-eval",
+                         "--order", str(order))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: pmn-eval: order must exceed m_max = 4, got {order}"
+
+
 def test_pmn_json(capsys):
     code, out, _ = run(capsys, "pmn", "--m", "0", "--n", "1", "--format", "json")
     assert code == 0

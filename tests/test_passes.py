@@ -11,8 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crankq import kalgebra
+from crankq.errors import CrankqError
 from crankq.etaq import eta_series, rr_stretch, theta_terms
-from crankq.kalgebra import KPolynomial, eval_at_K, pmn, pmn_series
+from crankq.kalgebra import (KPolynomial, eval_at_K, eval_at_K_many, pmn,
+                             pmn_series, pmn_series_grid,
+                             verify_series_agreement)
+from crankq.report import first_mismatch
 from crankq.series import Series, sparse_pass
 
 from oracles import (RR_TERMS, naive_euler, naive_inv, naive_mul, naive_pow,
@@ -170,12 +175,90 @@ def test_eval_at_K_matches_dense_route(m, n):
         assert eval_at_K(p, order) == dense_eval_at_K(p, order)
 
 
-@pytest.mark.parametrize("p", [KPolynomial({-3: 2}), KPolynomial({-5: 1, -1: 3}),
-                               KPolynomial({-2: 1, 3: -2}), KPolynomial({4: -1}),
-                               KPolynomial({0: 7}), KPolynomial()])
+LOW_DEGREE_POLYS = [KPolynomial({-3: 2}), KPolynomial({-5: 1, -1: 3}),
+                    KPolynomial({-2: 1, 3: -2}), KPolynomial({4: -1}),
+                    KPolynomial({0: 7}), KPolynomial()]
+
+
+@pytest.mark.parametrize("p", LOW_DEGREE_POLYS)
 def test_eval_at_K_at_orders_up_to_the_degree(p):
     # orders at or below |d| leave a negative-degree term K^d = O(q^|d|)
     # wholly above the window
     for order in range(1, 8):
         assert eval_at_K(p, order) == dense_eval_at_K(p, order)
 
+
+# ----------------------------------------------------------------------
+# the batched grid: one K ladder and one u/v lattice for many points
+
+@pytest.mark.parametrize("order", [5, 6, 7, 90])
+def test_batched_grid_matches_dense_routes_on_task_grid(order):
+    # orders m_max + 1, m_max + 2, 7 and 90 on the pmn-eval grid
+    direct = list(pmn_series_grid(0, 4, -3, 3, order))
+    assert [tuple(index) for index, _ in direct] == PMN_GRID
+    for (m, n), (_, got) in zip(PMN_GRID, direct):
+        assert got == dense_pmn_series(m, n, order)
+    symbolic = eval_at_K_many([pmn(m, n) for m, n in PMN_GRID], order)
+    for (m, n), got in zip(PMN_GRID, symbolic, strict=True):
+        assert got == dense_eval_at_K(pmn(m, n), order)
+
+
+@pytest.mark.parametrize("m_min, m_max, n_min, n_max", [
+    (0, 0, -3, 3),      # m_max = 0
+    (0, 3, 1, 4),       # n_min > 0
+    (0, 3, -4, -1),     # n_max < 0
+    (2, 4, -1, 1),      # rows that do not start at m = 0
+    (3, 3, 2, 2),       # one point, away from the origin
+])
+def test_batched_grid_shapes_match_dense_route(m_min, m_max, n_min, n_max):
+    for order in (m_max + 1, m_max + 2, 7, 60):
+        got = list(pmn_series_grid(m_min, m_max, n_min, n_max, order))
+        want = [(m, n) for m in range(m_min, m_max + 1)
+                for n in range(n_min, n_max + 1)]
+        assert [tuple(index) for index, _ in got] == want
+        for (m, n), (_, series) in zip(want, got):
+            assert series == dense_pmn_series(m, n, order)
+        if m_min == 0:
+            params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
+            assert verify_series_agreement(order, **params).passed
+
+
+def test_batched_eval_at_orders_up_to_the_degree():
+    # negative K-degrees wholly above the window share the ladder with
+    # positive ones
+    for order in range(1, 8):
+        got = list(eval_at_K_many(LOW_DEGREE_POLYS, order))
+        assert got == [dense_eval_at_K(p, order) for p in LOW_DEGREE_POLYS]
+
+
+def test_batched_eval_of_nothing_is_empty():
+    assert list(eval_at_K_many([], 10)) == []
+
+
+def test_grid_refuses_empty_and_too_low_order():
+    with pytest.raises(CrankqError):
+        list(pmn_series_grid(0, 2, 1, 0, 10))
+    with pytest.raises(CrankqError):
+        list(pmn_series_grid(3, 2, 0, 0, 10))
+    with pytest.raises(ValueError):
+        list(pmn_series_grid(0, 4, 0, 0, 4))
+
+
+def test_grid_witness_is_first_failure_in_m_major_order(monkeypatch):
+    # corrupt two points; (1, 2) comes first in m-major order, (3, -1)
+    # would come first in n-major order
+    bad = {(1, 2): KPolynomial({0: 1}), (3, -1): KPolynomial({-2: 5})}
+    true_pmn = kalgebra.pmn
+    monkeypatch.setattr(kalgebra, "pmn",
+                        lambda m, n: bad.get((m, n)) or true_pmn(m, n))
+    order = 40
+    report = verify_series_agreement(order, m_max=4, n_min=-3, n_max=3)
+    per_point = []
+    for m, n in PMN_GRID:
+        diff = first_mismatch(eval_at_K(kalgebra.pmn(m, n), order),
+                              pmn_series(m, n, order), keys=("symbolic", "direct"))
+        if diff:
+            per_point.append({"m": m, "n": n, **diff})
+    assert [(f["m"], f["n"]) for f in per_point] == [(1, 2), (3, -1)]
+    assert not report.passed
+    assert report.witness == per_point[0]
