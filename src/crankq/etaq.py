@@ -4,10 +4,18 @@ The building blocks are the functions ``f_m = prod_{n>=1} (1 - q^{m n})``.
 An :class:`EtaQuotientSpec` names a formal product
 ``q^shift * prod f_m^{e_m}``.  Every named series and the
 Rogers-Ramanujan product R(q) (without its classical fractional power
-of q) are built from one family of sparse factors
-``sum_k (-1)^k q^(k(pk - r)/2)``: a factor to the power e is |e|
+of q) are products of factors (name, m, e): the sparse sum
+``SUMS[name]`` at q -> q^m, to the power e.  A factor is |e|
 :func:`~crankq.series.sparse_pass` passes over a dense coefficient list,
 and a negative power divides.
+
+Six of the sums are eta quotients on a level pair, f_m^a f_2m^b: f_m
+itself, Jacobi's cube f_m^3, psi, phi(-q) and the two weighted sums of
+:class:`~crankq.theta.ThetaKind`.  :func:`plan_quotient` rewrites each
+eta quotient into the cheapest product of them, counted in term-steps
+(:func:`factor_cost`), and :func:`eta_quotient` builds that product.
+:func:`eta_factors` is the plain route, |e_m| passes of f_m, kept as the
+reference side of the identity checks.
 
 :func:`named_series` exposes the closed registry of sequences the
 verification tasks talk about: the partition numbers, the crank parity
@@ -21,8 +29,10 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from functools import cache, partial
+from itertools import combinations_with_replacement
+from math import sqrt
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .report import CheckReport, first_mismatch
 from .series import Series, sparse_pass
@@ -32,11 +42,14 @@ __all__ = [
     "SeriesName",
     "eta_quotient",
     "eta_series",
+    "SUMS",
     "theta_terms",
     "eta_factors",
     "rr_factors",
     "apply_factors",
     "factor_product",
+    "factor_cost",
+    "plan_quotient",
     "climb",
     "power_sums",
     "power_sum",
@@ -118,11 +131,28 @@ NAMED_SPECS: dict[SeriesName, EtaQuotientSpec] = {
     SeriesName.A_CAP: EtaQuotientSpec.make({1: 2, 2: -4, 5: 6}),
 }
 
-# A factor (p, r, e) is (sum_k (-1)^k q^(k(pk - r)/2))^e over all integers
-# k, with 0 < r < p and p = r mod 2.  By the Jacobi triple product f_m is
-# (3m, m, 1), and R(q^m) = f(-q^m, -q^4m) / f(-q^2m, -q^3m) is (5m, 3m, 1)
-# times (5m, m, -1).
-Factor = tuple[int, int, int]
+# A factor (name, m, e) is the sparse sum SUMS[name] at q -> q^m, to the
+# power e.  Each sum is a unit series 1 + sum c q^k given by its term
+# generator: terms(order) lists the (k, c), k >= 1 ascending, below order.
+Factor = tuple[str, int, int]
+
+
+def _walk(exponent: Callable[[int], int], weight: Callable[[int], int],
+          bilateral: bool, order: int) -> list[tuple[int, int]]:
+    """The k != 0 terms (exponent(k), weight(k)) of a sum over k >= 0 (over
+    all k if bilateral) below ``order``, ascending.  k walks outward from 0
+    in each direction until the exponent leaves the window."""
+    terms = []
+    for step in ((1, -1) if bilateral else (1,)):
+        k = step
+        while (e := exponent(k)) < order:
+            terms.append((e, weight(k)))
+            k += step
+    return sorted(terms)
+
+
+def _sign(k: int) -> int:
+    return -1 if k % 2 else 1
 
 
 def theta_terms(p: int, r: int, order: int) -> list[tuple[int, int]]:
@@ -130,31 +160,169 @@ def theta_terms(p: int, r: int, order: int) -> list[tuple[int, int]]:
     ``order``, ascending: k = j comes before k = -j, which comes before k = j + 1."""
     if not 0 < r < p or (p - r) % 2:
         raise ValueError(f"theta factor ({p}, {r}) needs 0 < r < p and p = r mod 2")
-    terms = []
-    j = 1
-    while j * (p * j - r) // 2 < order:
-        sign = -1 if j % 2 else 1
-        terms.append((j * (p * j - r) // 2, sign))
-        if j * (p * j + r) // 2 < order:
-            terms.append((j * (p * j + r) // 2, sign))
-        j += 1
-    return terms
+    return _walk(lambda k: k * (p * k - r) // 2, _sign, True, order)
+
+
+# name -> (exponents, terms).  With exponents (a, b) the sum at q -> q^m is
+# f_m^a f_2m^b: these rows are the planner's table, and theta.theta_sum
+# expands the same generators.  The two halves of R(q) = T(5, 3) / T(5, 1)
+# (Jacobi triple product) have no such form.
+SUMS: dict[str, tuple[Optional[tuple[int, int]], Callable[[int], list[tuple[int, int]]]]] = {
+    # Euler: sum_k (-1)^k q^(k(3k-1)/2) = f_1
+    "eta": ((1, 0), partial(theta_terms, 3, 1)),
+    # Jacobi: sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2) = f_1^3
+    "jacobi": ((3, 0), partial(_walk, lambda k: k * (k + 1) // 2,
+                               lambda k: _sign(k) * (2 * k + 1), False)),
+    # psi(q) = sum_{k>=0} q^(k(k+1)/2) = f_2^2 / f_1
+    "triangular": ((-1, 2), partial(_walk, lambda k: k * (k + 1) // 2,
+                                    lambda k: 1, False)),
+    # phi(-q) = sum_k (-1)^k q^(k^2) = f_1^2 / f_2
+    "squares": ((2, -1), partial(_walk, lambda k: k * k,
+                                 lambda k: 2 * _sign(k), False)),
+    # sum_k (6k+1) q^(k(3k+1)/2) = f_1^5 / f_2^2
+    "pent": ((5, -2), partial(_walk, lambda k: k * (3 * k + 1) // 2,
+                              lambda k: 6 * k + 1, True)),
+    # sum_k (-1)^k (3k+1) q^(k(3k+2)) = f_2^5 / f_1^2
+    "cubic": ((-2, 5), partial(_walk, lambda k: k * (3 * k + 2),
+                               lambda k: _sign(k) * (3 * k + 1), True)),
+    "rr-num": (None, partial(theta_terms, 5, 3)),   # f(-q, -q^4)
+    "rr-den": (None, partial(theta_terms, 5, 1)),   # f(-q^2, -q^3)
+}
 
 
 def eta_factors(spec: EtaQuotientSpec) -> list[Factor]:
-    """The factors of an eta quotient, without its shift."""
-    return [(3 * m, m, e) for m, e in spec.factors]
+    """The plain route: |e_m| passes of f_m per factor, no identity used.
+
+    It is the reference side of the identity checks the planner relies on
+    (``theta-*``, ``k33``, ``k34``); builds go through :func:`plan_quotient`.
+    """
+    return [("eta", m, e) for m, e in spec.factors]
 
 
 def rr_factors(m: int, e: int = 1) -> list[Factor]:
     """The factors of R(q^m)^e."""
-    return [(5 * m, 3 * m, e), (5 * m, m, -e)]
+    return [("rr-num", m, e), ("rr-den", m, -e)]
+
+
+# ----------------------------------------------------------------------
+# the planner: each eta quotient from the cheapest set of sparse sums
+
+# Term counts are taken below this order.  Every count grows as
+# sqrt(N / m), so the ranking of plans is the same at every order N.
+_COST_ORDER = 1 << 12
+# Pair rows (those touching f_2m) used per level, counting passes.  Up to
+# four saves at most 0.5 % (on d) for the quotients the package builds.
+_PAIR_PASSES = 2
+_PAIR_ROWS = [name for name, (exps, _) in SUMS.items() if exps and exps[1]]
+
+_Key = tuple[int, int]   # (term count, divide passes), compared in that order
+
+
+@cache
+def _term_count(name: str) -> int:
+    return len(SUMS[name][1](_COST_ORDER))
+
+
+def factor_cost(factors: Iterable[Factor]) -> float:
+    """Term-steps per coefficient of a list of factors, in units of
+    sqrt(N / 2^12) at order N: sum of |e| * (terms of the sum at q -> q^m)."""
+    return sum(abs(e) * _term_count(name) / sqrt(m) for name, m, e in factors)
+
+
+def _key(exps: Mapping[str, int]) -> _Key:
+    return (sum(abs(e) * _term_count(name) for name, e in exps.items()),
+            sum(-e for e in exps.values() if e < 0))
+
+
+@cache
+def _pair_moves() -> dict[int, dict[int, tuple[_Key, dict[str, int]]]]:
+    """b -> {a: (key, exps)}: the cheapest products of at most
+    ``_PAIR_PASSES`` pair rows at one level that equal f_m^a f_2m^b."""
+    signed = [(name, sign) for name in _PAIR_ROWS for sign in (1, -1)]
+    moves: dict[int, dict[int, tuple[_Key, dict[str, int]]]] = {}
+    for passes in range(_PAIR_PASSES + 1):
+        for picks in combinations_with_replacement(signed, passes):
+            exps: dict[str, int] = {}
+            for name, sign in picks:
+                exps[name] = exps.get(name, 0) + sign
+            a = sum(e * SUMS[name][0][0] for name, e in exps.items())
+            b = sum(e * SUMS[name][0][1] for name, e in exps.items())
+            row = moves.setdefault(b, {})
+            if a not in row or _key(exps) < row[a][0]:
+                row[a] = (_key(exps), exps)
+    return moves
+
+
+@cache
+def _covers(r: int) -> list[tuple[_Key, int, dict[str, int]]]:
+    """The cheapest way to give f_m^r at one level for each exponent b it
+    leaves on f_2m, cheapest first: (key, b, exponents of the sums at m).
+    Jacobi's cube and f make up what the pair rows leave: r - a = 3t + s."""
+    step = SUMS["jacobi"][0][0]
+    cube, eta = _term_count("jacobi"), _term_count("eta")
+    found = []
+    for b, row in _pair_moves().items():
+        best = None
+        for a, ((count, divides), pair) in row.items():
+            for t in dict.fromkeys((0, (r - a) // step, (r - a) // step + 1)):
+                s = r - a - step * t
+                key = (count + abs(t) * cube + abs(s) * eta,
+                       divides + max(-t, 0) + max(-s, 0))
+                if best is None or key < best[0]:
+                    best = (key, {**pair, "jacobi": t, "eta": s})
+        found.append((best[0], b, best[1]))
+    return sorted(found, key=lambda option: option[:2])
+
+
+def _plan_chain(exponents: Mapping[int, int]) -> list[Factor]:
+    """Cheapest factors for prod f_m^e over levels m of one odd part.
+
+    The chain runs m, 2m, 4m, ... from the lowest level to twice the
+    highest.  Each level passes its f_2m exponent b to the next, and the
+    last one passes nothing.  A level's term count is divided by sqrt(m).
+    """
+    levels = [min(exponents)]
+    while levels[-1] <= max(exponents):
+        levels.append(2 * levels[-1])
+
+    @cache
+    def best(i: int, carry: int) -> tuple[tuple[float, int], tuple]:
+        m, last = levels[i], i + 1 == len(levels)
+        found = None
+        for (count, divides), b, exps in _covers(exponents.get(m, 0) - carry):
+            cost = round(count / sqrt(m), 9)
+            if found is not None and cost > found[0][0]:
+                break           # the rest of the chain costs >= 0
+            if last and b:
+                continue
+            rest_key, rest = ((0.0, 0), ()) if last else best(i + 1, b)
+            key = (round(cost + rest_key[0], 9), divides + rest_key[1])
+            if found is None or key < found[0]:
+                found = (key, ((m, exps),) + rest)
+        return found
+
+    return [(name, m, e) for m, exps in best(0, 0)[1]
+            for name in SUMS if (e := exps.get(name))]
+
+
+@cache
+def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
+    """The cheapest factors for an eta quotient, without its shift.
+
+    Levels split into chains by odd part, and each chain is planned on its
+    own (see :func:`_plan_chain`); ties in term-steps go to fewer divides.
+    """
+    chains: dict[int, dict[int, int]] = {}
+    for m, e in spec.factors:
+        chains.setdefault(m // (m & -m), {})[m] = e
+    return tuple(f for odd in sorted(chains) for f in _plan_chain(chains[odd]))
 
 
 def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
     """Multiply a dense coefficient list in place by a product of factors."""
-    for p, r, e in factors:
-        sparse_pass(coeffs, theta_terms(p, r, len(coeffs)), e)
+    for name, m, e in factors:
+        terms = SUMS[name][1](-(-len(coeffs) // m))   # k m < len(coeffs)
+        sparse_pass(coeffs, [(m * k, c) for k, c in terms], e)
 
 
 def factor_product(factors: Iterable[Factor], order: int, shift: int = 0) -> Series:
@@ -174,7 +342,7 @@ def climb(coeffs: list[int], factors: Sequence[Factor],
     ``steps`` is negative), so each step costs one set of passes and a
     caller that keeps a power keeps a copy.
     """
-    step = factors if steps >= 0 else [(p, r, -e) for p, r, e in factors]
+    step = factors if steps >= 0 else [(name, m, -e) for name, m, e in factors]
     yield coeffs
     for _ in range(abs(steps)):
         apply_factors(coeffs, step)
@@ -213,8 +381,9 @@ def power_sum(terms: Iterable[tuple[int, int, int]], factors: Sequence[Factor],
 
 
 def eta_quotient(spec: EtaQuotientSpec, order: int) -> Series:
-    """Expand q^shift * prod f_m^{e_m} exactly below ``order``: |e_m| passes per f_m."""
-    return factor_product(eta_factors(spec), order, spec.shift)
+    """Expand q^shift * prod f_m^{e_m} exactly below ``order`` from its
+    planned factors (:func:`plan_quotient`)."""
+    return factor_product(plan_quotient(spec), order, spec.shift)
 
 
 def eta_series(factors: Mapping[int, int] | Iterable[tuple[int, int]],
@@ -270,12 +439,10 @@ def _build_f_conv(order: int) -> Series:
     division by 5 is performed exactly and raises InexactDivision if any
     coefficient of the extracted column resists it.
     """
-    from .theta import ThetaKind, theta_sum  # deferred: theta builds on etaq
-
     c_series = named_series(SeriesName.C_CRANK, 5 * order + 5)
     column = c_series.extract(5, 4).exact_div(5).truncate(order)
     coeffs = list(column.coeffs)
-    sparse_pass(coeffs, list(theta_sum(ThetaKind.TRIANGULAR, order).terms())[1:])
+    apply_factors(coeffs, [("triangular", 1, 1)])
     return Series(column.valuation, coeffs, order)
 
 

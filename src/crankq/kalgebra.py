@@ -24,7 +24,7 @@ import threading
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CrankqError
-from .etaq import (NAMED_SPECS, SeriesName, apply_factors, climb, eta_factors,
+from .etaq import (NAMED_SPECS, SeriesName, apply_factors, climb, plan_quotient,
                    power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
@@ -260,7 +260,7 @@ def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
     firsts = []
     for sign in (1, -1):
         x = [1] + [0] * (width - 1)
-        apply_factors(x, [(p, r, sign * e) for p, r, e in corner])
+        apply_factors(x, [(name, m, sign * e) for name, m, e in corner])
         firsts.append(climb(x, _U, sign * (m_max - m_min)))
     for m, (t_first, inv_first) in enumerate(zip(*firsts), m_min):
         row = zip(climb(t_first[:], _V, n_max - n_min),
@@ -279,14 +279,14 @@ def pmn_series(m: int, n: int, order: int) -> Series:
 def eval_at_K_many(polys: Iterable[KPolynomial], order: int) -> Iterator[Series]:
     """Substitute the Laurent q-series value of K into each polynomial.
 
-    K^d is q^(-d) times the d-th power of K's eta factors; the powers
+    K^d is q^(-d) times the d-th power of K's planned factors; the powers
     that any of the polynomials needs are climbed once and shared
     (:func:`~crankq.etaq.power_sums`).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     return power_sums([[(_K_SPEC.shift * d, c, d) for d, c in p.items()] for p in polys],
-                      eta_factors(_K_SPEC), order)
+                      plan_quotient(_K_SPEC), order)
 
 
 def eval_at_K(p: KPolynomial, order: int) -> Series:

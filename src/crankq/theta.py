@@ -1,19 +1,23 @@
 """Closed-form theta-style sums and the classical identities behind the checks.
 
-Each :class:`ThetaKind` fixes an exponent function and an integer weight
-over k; the sum of ``weight(k) * q^(exponent(k))`` equals a specific
-eta quotient, and :func:`verify_theta_identity` confirms that equality
-at any requested order.  The module also verifies the quintic
-dissections of the Euler product and the two Laurent identities for the
-parameter K = f_2 f_5^5 / (q f_1 f_10^5).
+Each :class:`ThetaKind` names a row of :data:`crankq.etaq.SUMS`: a term
+generator for a sum of ``weight(k) * q^(exponent(k))`` and the exponents
+(a, b) with which it equals f_1^a f_2^b.  The eta-quotient planner builds
+products from the same rows, so :func:`verify_theta_identity` compares
+each sum against the plain route (|e| passes of f_m per factor), never
+against a plan that could use the identity being checked.  The module
+also verifies the quintic dissections of the Euler product and the two
+Laurent identities for the parameter K = f_2 f_5^5 / (q f_1 f_10^5),
+again against the plain route.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
+from typing import Mapping
 
-from .etaq import SeriesName, eta_series, named_series, power_sum, rr_factors
+from .etaq import (SUMS, EtaQuotientSpec, SeriesName, eta_factors, eta_series,
+                   factor_product, named_series, power_sum, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -27,56 +31,32 @@ __all__ = [
 
 
 class ThetaKind(Enum):
-    TRIANGULAR = "triangular"   # sum_{k>=0} q^(k(k+1)/2)           = f_2^2 / f_1
-    SQUARES = "squares"         # sum_k (-1)^k q^(k^2)              = f_1^2 / f_2
-    PENT_6K1 = "pent"           # sum_k (6k+1) q^(k(3k+1)/2)        = f_1^5 / f_2^2
-    CUBIC_3K1 = "cubic"         # sum_k (-1)^k (3k+1) q^(k(3k+2))   = f_2^5 / f_1^2
+    """The weighted sums with a registry task; each value names the row of
+    :data:`crankq.etaq.SUMS` that states its identity."""
 
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
-_DEFS: dict[ThetaKind, tuple[bool, Callable[[int], int], Callable[[int], int],
-                             dict[int, int]]] = {
-    ThetaKind.TRIANGULAR: (False, lambda k: k * (k + 1) // 2, lambda k: 1,
-                           {1: -1, 2: 2}),
-    ThetaKind.SQUARES: (True, lambda k: k * k, _sign,
-                        {1: 2, 2: -1}),
-    ThetaKind.PENT_6K1: (True, lambda k: k * (3 * k + 1) // 2,
-                         lambda k: 6 * k + 1, {1: 5, 2: -2}),
-    ThetaKind.CUBIC_3K1: (True, lambda k: k * (3 * k + 2),
-                          lambda k: _sign(k) * (3 * k + 1), {1: -2, 2: 5}),
-}
+    TRIANGULAR = "triangular"   # psi(q) = f_2^2 / f_1
+    SQUARES = "squares"         # phi(-q) = f_1^2 / f_2
+    PENT_6K1 = "pent"           # f_1^5 / f_2^2
+    CUBIC_3K1 = "cubic"         # f_2^5 / f_1^2
 
 
 def theta_sum(kind: ThetaKind, order: int) -> Series:
-    """Sum weight(k) q^exponent(k) over every k whose exponent is below order.
-
-    k walks outward from 0, so no bound on k has to be estimated; the walk
-    stops as soon as both directions have left the window.
-    """
+    """Sum weight(k) q^exponent(k) over every k whose exponent is below order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    bilateral, expfn, wfn, _ = _DEFS[kind]
-    terms: dict[int, int] = {}
-    j = 0
-    while True:
-        hit = False
-        for k in ((j, -j) if bilateral and j else (j,)):
-            e = expfn(k)
-            if 0 <= e < order:
-                hit = True
-                terms[e] = terms.get(e, 0) + wfn(k)
-        if j and not hit:
-            break
-        j += 1
-    return Series.from_terms(terms, order)
+    return Series.from_terms([(0, 1), *SUMS[kind.value][1](order)], order)
+
+
+def _plain(factors: Mapping[int, int], order: int, shift: int = 0) -> Series:
+    """q^shift prod f_m^e by the plain route, which uses no identity."""
+    spec = EtaQuotientSpec.make(factors, shift)
+    return factor_product(eta_factors(spec), order, shift)
 
 
 def verify_theta_identity(kind: ThetaKind, order: int) -> CheckReport:
     """Compare the closed-form sum against its eta quotient up to order."""
-    diff = first_mismatch(theta_sum(kind, order), eta_series(_DEFS[kind][3], order),
+    a, b = SUMS[kind.value][0]
+    diff = first_mismatch(theta_sum(kind, order), _plain({1: a, 2: b}, order),
                           keys=("sum", "quotient"))
     return CheckReport.from_failures(f"theta-{kind.value}", {"kind": kind.value},
                                      order, [diff])
@@ -125,6 +105,6 @@ def verify_K_identities(order: int, which: str) -> CheckReport:
         raise ValueError(f"unknown K-identity selector {which!r}")
     c, quotient = _K_IDENTITIES[which]
     diff = first_mismatch(named_series(SeriesName.K_PARAM, order) + c,
-                          eta_series(quotient, order, shift=-1))
+                          _plain(quotient, order, shift=-1))
     return CheckReport.from_failures(f"k{which}", {"which": which}, order,
                                      [diff and {"identity": which, **diff}])

@@ -4,21 +4,28 @@ Every eta quotient, R(q) and P(m,n) evaluation the package builds goes
 through ``series.sparse_pass``; these tests compare the kernel and what
 is built on it, coefficient for coefficient, with
 ``tests/oracles.py`` and with a local copy of the dense route (powers of
-whole series and ``Series.invert``) that the passes replaced.
+whole series and ``Series.invert``) that the passes replaced.  Planned
+eta quotients are also compared with the plain route, |e| passes of f_m.
 """
+
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crankq import kalgebra
+from crankq import etaq, kalgebra
 from crankq.errors import CrankqError
-from crankq.etaq import eta_series, rr_stretch, theta_terms
+from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, SeriesName,
+                         eta_factors, eta_quotient, eta_series, factor_cost,
+                         factor_product, named_series, plan_quotient,
+                         rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, eval_at_K, eval_at_K_many, pmn,
                              pmn_series, pmn_series_grid,
                              verify_series_agreement)
 from crankq.report import first_mismatch
 from crankq.series import Series, sparse_pass
+from crankq.tasks import run_task
 
 from oracles import (RR_TERMS, naive_euler, naive_inv, naive_mul, naive_pow,
                      naive_residue_product)
@@ -262,3 +269,93 @@ def test_grid_witness_is_first_failure_in_m_major_order(monkeypatch):
     assert [(f["m"], f["n"]) for f in per_point] == [(1, 2), (3, -1)]
     assert not report.passed
     assert report.witness == per_point[0]
+
+
+# ----------------------------------------------------------------------
+# planned eta quotients: the plan, the plain route and the naive product
+
+@cache
+def euler(m, n):
+    return tuple(naive_euler(m, n))
+
+
+def naive_quotient(exponents, n):
+    """prod f_m^e below q^n: numerator and denominator multiplied out from
+    the sparse f_m, then one naive inverse of the denominator."""
+    num, den = [1] + [0] * (n - 1), [1] + [0] * (n - 1)
+    for m, e in exponents.items():
+        for _ in range(abs(e)):
+            if e > 0:
+                num = naive_mul(euler(m, n), num, n)
+            else:
+                den = naive_mul(euler(m, n), den, n)
+    return naive_mul(num, naive_inv(den, n), n) if any(den[1:]) else num
+
+
+def check_three_routes(spec, order):
+    planned = eta_quotient(spec, order)
+    plain = factor_product(eta_factors(spec), order, spec.shift)
+    assert planned == plain
+    width = order - spec.shift
+    assert ([planned.coeff(spec.shift + i) for i in range(width)]
+            == naive_quotient(dict(spec.factors), width))
+    assert factor_cost(plan_quotient(spec)) <= factor_cost(eta_factors(spec)) + 1e-9
+
+
+@given(st.dictionaries(st.sampled_from([1, 2, 4, 5, 10]),
+                       st.integers(-8, 8).filter(bool), max_size=5),
+       st.integers(-5, 5), st.integers(1, 150))
+@DIFF
+def test_planned_quotient_matches_plain_route_and_naive_product(exponents, shift,
+                                                                 width):
+    check_three_routes(EtaQuotientSpec.make(exponents, shift), shift + width)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SPECS, key=lambda n: n.value),
+                         ids=lambda n: n.value)
+def test_named_series_match_plain_route_and_naive_product(name):
+    check_three_routes(NAMED_SPECS[name], 1500)
+    assert named_series(name, 1500) == eta_quotient(NAMED_SPECS[name], 1500)
+
+
+def test_K_ladder_matches_plain_route_and_naive_product():
+    # K^d = q^-d (f_2 f_5^5 / (f_1 f_10^5))^d over the pmn-eval degrees
+    k_spec = NAMED_SPECS[SeriesName.K_PARAM]
+    order = 300
+    degrees = range(-3, 5)
+    ladder = eval_at_K_many([KPolynomial({d: 1}) for d in degrees], order)
+    for d, got in zip(degrees, ladder, strict=True):
+        power = EtaQuotientSpec.make({m: d * e for m, e in k_spec.factors}, -d)
+        plain = factor_product([(name, m, d * e) for name, m, e in eta_factors(k_spec)],
+                               order, -d)
+        assert got == plain
+        assert [got.coeff(-d + i) for i in range(order + d)] == naive_quotient(
+            dict(power.factors), order + d)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10])
+@pytest.mark.parametrize("name", [name for name, (exps, _) in SUMS.items() if exps])
+def test_each_sum_equals_its_eta_quotient(name, m):
+    # the identity behind every planner row, Jacobi's cube included, at
+    # q -> q^m against the naive product f_m^a f_2m^b
+    order = 400
+    a, b = SUMS[name][0]
+    assert (factor_product([(name, m, 1)], order)
+            == Series(0, naive_quotient({m: a, 2 * m: b}, order), order))
+
+
+def test_identity_checks_do_not_build_through_the_plan(monkeypatch):
+    # corrupt the q^1 coefficient of the cubic sum, which K's plan uses:
+    # theta-cubic, k33 and k34 compare against the plain route, so each
+    # must now fail
+    assert "cubic" in {name for name, _, _ in plan_quotient(NAMED_SPECS[SeriesName.K_PARAM])}
+    exps, terms = SUMS["cubic"]
+
+    def corrupted(order):
+        return [(k, c + (k == 1)) for k, c in terms(order)]
+
+    monkeypatch.setitem(SUMS, "cubic", (exps, corrupted))
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    for tid in ("theta-cubic", "k33", "k34"):
+        assert not run_task(tid).passed, tid
+    assert run_task("theta-squares").passed
