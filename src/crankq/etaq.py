@@ -319,8 +319,13 @@ def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
 
 
 def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
-    """Multiply a dense coefficient list in place by a product of factors."""
-    for name, m, e in factors:
+    """Multiply a dense coefficient list in place by a product of factors.
+
+    Multiply passes run before divide passes.  Truncated products of unit
+    series commute exactly, so the result is the same in any order, and
+    the intermediates stay small integers for longer.
+    """
+    for name, m, e in sorted(factors, key=lambda factor: factor[2] < 0):
         terms = SUMS[name][1](-(-len(coeffs) // m))   # k m < len(coeffs)
         sparse_pass(coeffs, [(m * k, c) for k, c in terms], e)
 

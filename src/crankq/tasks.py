@@ -144,6 +144,12 @@ def _check_a51(order: int = 150) -> CheckReport:
         [first_mismatch(column, target, modulus=5, upto=order)])
 
 
+def _check_f52_order(order: int) -> None:
+    """The reductions have a q^2 term, so they need order >= 3."""
+    if order < 3:
+        raise CrankqError(f"order must be >= 3, got {order}")
+
+
 def _check_f52(order: int = 100, n_max: int = 10,
                which: str = "both") -> CheckReport:
     """The f(5n+2) column against its quoted three-term reduction mod 25,
@@ -158,6 +164,7 @@ def _check_f52(order: int = 100, n_max: int = 10,
     """
     if which not in ("both", "identity", "vanishing"):
         raise ValueError(f"unknown f52 selector {which!r}")
+    _check_f52_order(order)
     big = named_series(SeriesName.F_CONV, max(5 * order + 3, 25 * n_max + 23))
     params = {"order": order, "n_max": n_max, "which": which}
     failures = []
@@ -183,6 +190,7 @@ def _check_f52_corrected(order: int = 100) -> CheckReport:
     - 5q f_1^5 f_10^6/(f_2^6 f_5^3) + 5q^2 f_1^7 f_10^10/(f_2^10 f_5^5).
     Mod 25: the middle term collapses to -5q f_10^5/(f_2 f_5^2).
     """
+    _check_f52_order(order)
     column = named_series(SeriesName.F_CONV, 5 * order + 3).extract(5, 2)
     exact = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
              + eta_series({1: 5, 10: 6, 2: -6, 5: -3}, order, shift=1) * (-5)

@@ -157,6 +157,17 @@ def test_verify_pmn_eval_order_at_most_m_max_is_usage_error(capsys, order):
     assert err.strip() == f"error: pmn-eval: order must exceed m_max = 4, got {order}"
 
 
+@pytest.mark.parametrize("tid, order", [("f52", 1), ("f52", 2), ("f52-corrected", 1),
+                                        ("f52-corrected", 2)],
+                         ids=["f52-1", "f52-2", "f52-corrected-1", "f52-corrected-2"])
+def test_verify_f52_order_below_three_is_usage_error(capsys, tid, order):
+    # the reductions carry a q^2 term; the message names --order, not the
+    # internal shift of whichever term failed first
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--order", str(order))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {tid}: order must be >= 3, got {order}"
+
+
 def test_pmn_json(capsys):
     code, out, _ = run(capsys, "pmn", "--m", "0", "--n", "1", "--format", "json")
     assert code == 0

@@ -3,23 +3,26 @@
 Every eta quotient, R(q) and P(m,n) evaluation the package builds goes
 through ``series.sparse_pass``; these tests compare the kernel and what
 is built on it, coefficient for coefficient, with
-``tests/oracles.py`` and with a local copy of the dense route (powers of
-whole series and ``Series.invert``) that the passes replaced.  Planned
-eta quotients are also compared with the plain route, |e| passes of f_m.
+``tests/oracles.py``, with a local copy of the dense route (powers of
+whole series and ``Series.invert``) that the passes replaced, and with a
+local copy of the unblocked per-coefficient kernel that the blocked one
+replaced.  Planned eta quotients are also compared with the plain route,
+|e| passes of f_m.
 """
 
+import random
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crankq import etaq, kalgebra
+from crankq import etaq, kalgebra, series
 from crankq.errors import CrankqError
 from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, SeriesName,
-                         eta_factors, eta_quotient, eta_series, factor_cost,
-                         factor_product, named_series, plan_quotient,
-                         rr_stretch, theta_terms)
+                         apply_factors, eta_factors, eta_quotient, eta_series,
+                         factor_cost, factor_product, named_series,
+                         plan_quotient, rr_factors, rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, eval_at_K, eval_at_K_many, pmn,
                              pmn_series, pmn_series_grid,
                              verify_series_agreement)
@@ -84,6 +87,77 @@ def test_divide_after_multiply_round_trips(case, e):
     assert got == coeffs
 
 
+def reference_pass(coeffs, terms, e=1):
+    """The unblocked kernel the blocked one replaced: one comprehension
+    per term to multiply, the scalar recurrence over every term to divide."""
+    n = len(coeffs)
+    for _ in range(e):
+        src = coeffs[:]
+        for k, c in terms:
+            if k >= n:
+                break
+            coeffs[k:] = [x + c * y for x, y in zip(coeffs[k:], src)]
+    for _ in range(-e):
+        for i in range(1, n):
+            s = coeffs[i]
+            for k, c in terms:
+                if k > i:
+                    break
+                s -= c * coeffs[i - k]
+            coeffs[i] = s
+
+
+def check_pass(coeffs, terms, e):
+    """sparse_pass against the naive oracles and the reference kernel."""
+    n = len(coeffs)
+    got, ref = list(coeffs), list(coeffs)
+    sparse_pass(got, terms, e)
+    reference_pass(ref, terms, e)
+    factor = dense_of(terms, n)
+    if e < 0:
+        factor = naive_inv(factor, n)
+    assert got == ref == naive_mul(coeffs, naive_pow(factor, abs(e), n), n)
+
+
+BLOCK = series._BLOCK
+# exponents at and around the first multiples of the divide block
+NEAR_BLOCKS = sorted({j * BLOCK + d for j in range(5) for d in (-2, -1, 0, 1, 2)} - {-2, -1, 0})
+
+
+@st.composite
+def blocked_factor(draw):
+    """A dense list of length n <= 300 and the terms of some 1 + sum c q^k
+    whose exponents sit at and around block multiples and past n, with
+    +-1 and weighted coefficients mixed."""
+    n = draw(st.integers(1, 300))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    ks = draw(st.sets(st.sampled_from(NEAR_BLOCKS) | st.integers(1, n + 70),
+                      min_size=1, max_size=12))
+    cs = draw(st.lists(st.sampled_from([1, -1, 1, -1, 2, -3, 5]),
+                       min_size=len(ks), max_size=len(ks)))
+    return coeffs, list(zip(sorted(ks), cs))
+
+
+@given(blocked_factor(), st.integers(-3, 3))
+@DIFF
+def test_blocked_pass_matches_naive_and_reference(case, e):
+    check_pass(*case, e)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 7, 300])
+@pytest.mark.parametrize("e", [-3, -2, -1, 1, 2, 3])
+@pytest.mark.parametrize("weights", [(1, -1), (1, -1, -1, 1, 2, 1, -1, -3)],
+                         ids=["unit", "mixed"])
+def test_pass_at_block_boundaries_matches_naive_and_reference(n, e, weights):
+    # a term at every exponent near a block multiple, each of them +-1 in
+    # the unit case, reaches every later block; one past the list's end
+    # is skipped
+    rng = random.Random(n * 10 + e)
+    coeffs = [rng.randint(-9, 9) for _ in range(n)]
+    ks = sorted({1, 2, 3} | {k for k in NEAR_BLOCKS if k < n + 3} | {n - 1, n, n + 1})
+    check_pass(coeffs, [(k, weights[i % len(weights)]) for i, k in enumerate(ks)], e)
+
+
 def test_zero_power_is_no_pass():
     coeffs = [3, 1, 4, 1, 5]
     sparse_pass(coeffs, [(1, -1), (2, 7)], 0)
@@ -96,6 +170,39 @@ def test_theta_terms_of_f1_are_pentagonal():
     for p, r in [(0, 0), (5, 5), (5, -1), (4, 1)]:
         with pytest.raises(ValueError):
             theta_terms(p, r, 10)
+
+
+# ----------------------------------------------------------------------
+# factor lists applied in any order
+
+ORDERED_LISTS = {
+    **{f"plan-{name.value}": plan_quotient(spec) for name, spec in NAMED_SPECS.items()},
+    "rr-1": rr_factors(1), "rr-2-inverse": rr_factors(2, -1),
+    "lattice-u": kalgebra._U, "lattice-v": kalgebra._V,
+    "lattice-v-inverse": [(name, m, -e) for name, m, e in kalgebra._V],
+}
+
+
+@pytest.mark.parametrize("factors", ORDERED_LISTS.values(), ids=ORDERED_LISTS)
+def test_shuffled_factors_give_the_same_list(factors):
+    # apply_factors runs multiplies before divides; any order of exact
+    # truncated passes gives the same list
+    order = 320
+    want = [1] + [0] * (order - 1)
+    for name, m, e in factors:
+        terms = SUMS[name][1](-(-order // m))
+        reference_pass(want, [(m * k, c) for k, c in terms], e)
+    rng = random.Random(order)
+    for _ in range(3):
+        shuffled = list(factors)
+        rng.shuffle(shuffled)
+        got = [1] + [0] * (order - 1)
+        apply_factors(got, shuffled)
+        assert got == want
+        one_by_one = [1] + [0] * (order - 1)
+        for factor in shuffled:
+            apply_factors(one_by_one, [factor])
+        assert one_by_one == want
 
 
 # ----------------------------------------------------------------------
