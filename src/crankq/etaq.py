@@ -20,7 +20,12 @@ reference side of the identity checks.
 :func:`named_series` exposes the closed registry of sequences the
 verification tasks talk about: the partition numbers, the crank parity
 sequence C(n), its reciprocal a(n), and the auxiliary products used by
-the congruence proofs.
+the congruence proofs.  It and :func:`rr_series` share one cache.  Each
+entry keeps its Series and the pass lists that a higher order reads, so
+a request above the cached order resumes every pass where it stopped
+and computes only the new coefficients: an ascending run of requests
+costs about one build at its top order.  f is the exactly divided
+C(5j+4) column, read from C's entry, times psi(q).
 """
 
 from __future__ import annotations
@@ -318,14 +323,17 @@ def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
     return tuple(f for odd in sorted(chains) for f in _plan_chain(chains[odd]))
 
 
-def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
-    """Multiply a dense coefficient list in place by a product of factors.
-
-    Multiply passes run before divide passes.  Truncated products of unit
+def _multiplies_first(factors: Iterable[Factor]) -> list[Factor]:
+    """Multiply passes before divide passes.  Truncated products of unit
     series commute exactly, so the result is the same in any order, and
-    the intermediates stay small integers for longer.
-    """
-    for name, m, e in sorted(factors, key=lambda factor: factor[2] < 0):
+    the intermediates stay small integers for longer."""
+    return sorted(factors, key=lambda factor: factor[2] < 0)
+
+
+def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
+    """Multiply a dense coefficient list in place by a product of factors,
+    multiply passes first (:func:`_multiplies_first`)."""
+    for name, m, e in _multiplies_first(factors):
         terms = SUMS[name][1](-(-len(coeffs) // m))   # k m < len(coeffs)
         sparse_pass(coeffs, [(m * k, c) for k, c in terms], e)
 
@@ -398,38 +406,118 @@ def eta_series(factors: Mapping[int, int] | Iterable[tuple[int, int]],
 
 
 # ----------------------------------------------------------------------
-# memoized named series (single-writer cache; readers always get an
-# immutable Series truncated to exactly the order they asked for)
+# memoized series, each extended in place when a higher order is asked for
 
-_CACHE: dict[object, Series] = {}
+class _Product:
+    """One cache entry: q^shift * source * prod of factors, its Series and
+    the pass lists that an extension to a higher order reads.
+
+    The product runs as stages, one per pass in :func:`apply_factors`
+    order (multiplies, then divides).  Growing it from n0 to n
+    coefficients computes only entries n0..n-1 of each stage
+    (:func:`~crankq.series.sparse_pass` with ``start = n0``).  A multiply
+    reads its input stage in full, and a divide reads its input's new
+    entries and its own output.  So a stage's output is kept when it
+    divides or feeds a multiply.  It is not kept when the cached Series
+    holds it (the last stage), or when it can be rebuilt in O(n): the
+    source, and a first multiply of the unit source, which is the sparse
+    sum itself.
+    """
+
+    def __init__(self, factors: Iterable[Factor], shift: int = 0,
+                 source: Optional[Callable[[int], list[int]]] = None):
+        self.stages = [(name, m, 1 if e > 0 else -1)
+                       for name, m, e in _multiplies_first(factors)
+                       for _ in range(abs(e))]
+        self.shift = shift
+        self.source = source        # n -> first n coefficients; None is 1
+        signs = [sign for _, _, sign in self.stages]
+        self.keep = [i + 1 < len(signs) and (sign < 0 or (
+            signs[i + 1] > 0 and (i > 0 or source is not None)))
+            for i, sign in enumerate(signs)]
+        self.kept: list[Optional[list[int]]] = [None] * len(self.stages)
+        self.series: Optional[Series] = None
+        self.lock = threading.Lock()
+
+    def get(self, order: int) -> Series:
+        """The product exact below ``order``, extended first if need be."""
+        if order <= self.shift:
+            raise ValueError(f"order {order} must exceed the shift {self.shift}")
+        series = self.series
+        if series is None or series.order < order:
+            with self.lock:
+                if self.series is None or self.series.order < order:
+                    self._extend(order - self.shift)
+                series = self.series
+        return series.truncate(order)
+
+    def _extend(self, n: int) -> None:
+        # New lists replace the kept ones only with the new Series, so an
+        # extension that raises leaves the entry as it was.
+        final, kept = self.series, list(self.kept)
+        n0 = 0 if final is None else final.order - self.shift
+        prev = [1] + [0] * (n - 1) if self.source is None else self.source(n)
+        for i, (name, m, sign) in enumerate(self.stages):
+            terms = [(m * k, c) for k, c in SUMS[name][1](-(-n // m))]
+            last = i + 1 == len(self.stages)
+            if not last:
+                old = kept[i] or []
+            elif final is None:
+                old = []
+            else:
+                old = [0] * (final.valuation - self.shift) + list(final.coeffs)
+            if sign < 0:
+                cur = old + prev[n0:]
+                sparse_pass(cur, terms, -1, n0)
+            elif i == 0 and self.source is None:
+                cur = prev                  # the sparse sum itself
+                for k, c in terms:
+                    cur[k] += c
+            else:
+                cur = prev[:] if i and self.keep[i - 1] else prev
+                sparse_pass(cur, terms, 1, n0)
+                if last or self.keep[i]:
+                    cur[:n0] = old
+            if self.keep[i]:
+                kept[i] = cur
+            prev = cur
+        self.kept, self.series = kept, Series(self.shift, prev, n + self.shift)
+
+
+_CACHE: dict[object, _Product] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _cached(key: object, order: int, build: Callable[[int], Series]) -> Series:
-    # The lock guards only the dict: builders are pure (a racing duplicate
-    # build returns an identical value) and may themselves consult the
-    # cache, so they must run unlocked.
+def _lookup(key: object, order: int) -> Series:
+    # The global lock guards only the dict.  Each entry serializes its own
+    # extensions; extending f reads C's entry, so no build may hold a lock
+    # that C's extension also needs.
     with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None and hit.order >= order:
-        return hit.truncate(order)
-    fresh = build(order)
-    with _CACHE_LOCK:
-        existing = _CACHE.get(key)
-        if existing is None or existing.order < fresh.order:
-            _CACHE[key] = fresh
-    return fresh.truncate(order)
+        entry = _CACHE.get(key)
+        if entry is None:
+            entry = _CACHE[key] = _new_entry(key)
+    return entry.get(order)
+
+
+def _new_entry(key: object) -> _Product:
+    if key == "R":
+        return _Product(rr_factors(1))
+    if key is SeriesName.F_CONV:
+        return _Product([("triangular", 1, 1)], source=_f_column)
+    spec = NAMED_SPECS[key]
+    return _Product(plan_quotient(spec), spec.shift)
 
 
 def clear_cache() -> None:
-    """Drop memoized series (intended for benchmarks and tests)."""
+    """Drop memoized series and their extension state (intended for
+    benchmarks and tests)."""
     with _CACHE_LOCK:
         _CACHE.clear()
 
 
 def rr_series(order: int) -> Series:
-    """The Rogers-Ramanujan product R(q), cached per order."""
-    return _cached("R", order, partial(rr_stretch, 1))
+    """The Rogers-Ramanujan product R(q), cached and extended in place."""
+    return _lookup("R", order)
 
 
 def rr_stretch(m: int, order: int) -> Series:
@@ -437,18 +525,15 @@ def rr_stretch(m: int, order: int) -> Series:
     return factor_product(rr_factors(m), order)
 
 
-def _build_f_conv(order: int) -> Series:
-    """Triangular-sum convolution of the exactly-divided C(5j+4) column.
+def _f_column(n: int) -> list[int]:
+    """The first n coefficients of sum C(5j+4)/5 q^j, the source of f.
 
-    Equals sum f(n) q^n with 5*f(n) = sum_k C(5n + 4 - 5k(k+1)/2); the
-    division by 5 is performed exactly and raises InexactDivision if any
-    coefficient of the extracted column resists it.
+    f is this column times the triangular sum psi(q), so
+    5*f(n) = sum_k C(5n + 4 - 5k(k+1)/2).  The division by 5 is exact and
+    raises InexactDivision if any coefficient of the column resists it.
     """
-    c_series = named_series(SeriesName.C_CRANK, 5 * order + 5)
-    column = c_series.extract(5, 4).exact_div(5).truncate(order)
-    coeffs = list(column.coeffs)
-    apply_factors(coeffs, [("triangular", 1, 1)])
-    return Series(column.valuation, coeffs, order)
+    column = named_series(SeriesName.C_CRANK, 5 * n + 5).extract(5, 4).exact_div(5)
+    return ([0] * column.valuation + list(column.coeffs))[:n]
 
 
 def named_series(name: Union[SeriesName, str], order: int) -> Series:
@@ -456,10 +541,7 @@ def named_series(name: Union[SeriesName, str], order: int) -> Series:
     name = resolve_name(name)
     if order < 1:
         raise ValueError("order must be >= 1")
-    if name is SeriesName.F_CONV:
-        return _cached(name, order, _build_f_conv)
-    spec = NAMED_SPECS[name]
-    return _cached(name, order, lambda n: eta_quotient(spec, n))
+    return _lookup(name, order)
 
 
 def binomial_congruence_check(m: int, k: int, order: int) -> CheckReport:

@@ -26,6 +26,9 @@ a dense coefficient list, in place, by a sparse unit series
 sequence of such passes, and :meth:`Series.invert` is one divide pass.
 Terms with coefficient +-1 (all of f_m, psi and both halves of R(q)) run
 as C-level ``map`` slices; weighted terms cost one bytecode step each.
+A pass can resume on a longer list where it stopped (``start``), which
+is how the cached series of :mod:`crankq.etaq` grow to a higher order
+without recomputing their prefix.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ _BLOCK = 64
 
 
 def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
-                e: int = 1) -> None:
+                e: int = 1, start: int = 0) -> None:
     """Multiply ``coeffs`` in place by ``(1 + sum c q^k)^e`` over ``terms``.
 
     ``terms`` holds the (k, c) of the sparse unit series, k >= 1 and
@@ -63,26 +66,46 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     the far unit terms are pushed forward from each finished block by
     ``map``, the rest run per coefficient.  The list is a truncation, and
     every entry stays exact.
+
+    ``start`` resumes one pass (e = +-1) that already ran on a list
+    ``start`` long, so only the entries from ``start`` on are computed,
+    at ``len(coeffs) - start`` steps per term.  A multiply reads its input
+    from the whole list and writes the product over ``coeffs[start:]``,
+    leaving ``coeffs[:start]`` as input.  A divide finds its quotient in
+    ``coeffs[:start]`` and its new input after it: it first pushes the
+    finished prefix through the far unit terms into the new entries, then
+    runs the blocked recurrence from ``start``.  A fresh pass is
+    ``start = 0``.
     """
     n = len(coeffs)
+    if start and e not in (1, -1):
+        raise ValueError(f"only a single pass resumes, got e = {e}")
     for _ in range(e):
         src = coeffs[:]
         for k, c in terms:
             if k >= n:
                 break
+            lo = max(k, start)
+            shifted = src if lo == k else src[lo - k:]
             if c == 1:
-                coeffs[k:] = map(add, coeffs[k:], src)
+                coeffs[lo:] = map(add, coeffs[lo:], shifted)
             elif c == -1:
-                coeffs[k:] = map(sub, coeffs[k:], src)
+                coeffs[lo:] = map(sub, coeffs[lo:], shifted)
             else:
-                coeffs[k:] = [x + c * y for x, y in zip(coeffs[k:], src)]
+                coeffs[lo:] = [x + c * y for x, y in zip(coeffs[lo:], shifted)]
     if e >= 0:
         return
     near = [(k, c) for k, c in terms if k < _BLOCK or c not in (1, -1)]
     far = [(k, sub if c == 1 else add) for k, c in terms
            if k >= _BLOCK and c in (1, -1)]
     for _ in range(-e):
-        for lo in range(0, n, _BLOCK):
+        for k, op in far if start else ():
+            if k >= n:
+                break
+            lo = max(start - k, 0)
+            coeffs[lo + k:start + k] = map(op, coeffs[lo + k:start + k],
+                                           coeffs[lo:start])
+        for lo in range(start, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             for i in range(lo, hi):
                 s = coeffs[i]

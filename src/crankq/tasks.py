@@ -32,12 +32,7 @@ from .etaq import SeriesName, eta_series, named_series
 from .report import CheckReport, first_mismatch
 from .theta import ThetaKind
 
-__all__ = ["task_ids", "describe", "run_task", "run_all", "WARM_ORDERS"]
-
-# Suite-wide maxima of the big shared series.  Building them once up
-# front keeps per-task timings honest and avoids recomputing a series at
-# a larger order halfway through a run.
-WARM_ORDERS = {"C": 2520, "a": 1802, "p": 1107}
+__all__ = ["task_ids", "describe", "run_task", "run_all"]
 
 
 def _check_family(tid: str, family: CongruenceFamily, default: int,
@@ -366,7 +361,4 @@ def run_task(tid: str, order: Optional[int] = None, **kw) -> CheckReport:
 
 def run_all(order: Optional[int] = None) -> list[CheckReport]:
     """Run every task in sorted id order."""
-    if order is None:
-        for name, n in WARM_ORDERS.items():
-            etaq.named_series(name, n)
     return [run_task(tid, order=order) for tid in task_ids()]

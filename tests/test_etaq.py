@@ -194,3 +194,42 @@ def test_named_series_concurrent_readers():
     baseline = results[0]
     assert all(r == baseline for r in results)
     assert [baseline.coeff(n) for n in range(6)] == [1, -3, 2, -1, 5, -5]
+
+
+def test_interleaved_extensions_from_many_threads(monkeypatch):
+    # 8 threads grow C and R from an empty cache at interleaved orders;
+    # every result equals a fresh build truncated to the order asked for
+    import sys
+    import threading
+
+    from crankq import etaq
+
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    top = 2520
+    fresh = {"C": eta_quotient(etaq.NAMED_SPECS[SeriesName.C_CRANK], top),
+             "R": rr_stretch(1, top)}
+    fetch = {"C": lambda n: named_series("C", n), "R": rr_series}
+    orders = [150, 400, 1000, 2520]
+    results = [[] for _ in range(8)]
+
+    def worker(i):
+        for j in range(len(orders)):
+            key = "CR"[(i + j) % 2]
+            order = orders[(i + j) % len(orders)]
+            results[i].append((key, order, fetch[key](order)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(got) == len(orders) for got in results)
+    for got in results:
+        for key, order, series in got:
+            assert series == fresh[key].truncate(order), (key, order)

@@ -1,5 +1,5 @@
-"""Package-wide invariants: exported names resolve, and the warm-up
-orders of ``run_all`` are the suite maxima."""
+"""Package-wide invariants: exported names resolve, and one run of every
+task computes each coefficient of every cached series once."""
 
 import importlib
 import pkgutil
@@ -17,27 +17,30 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
-def test_warm_orders_are_the_suite_maxima(monkeypatch):
-    # From an empty cache, run_all must build every named series once, and
-    # the warm-up orders must be exactly what the largest task asks for:
-    # too small and a task rebuilds the series, too large and no task
-    # requests that order.
-    requested, built = defaultdict(list), defaultdict(list)
-    cached = etaq._cached
+def test_run_all_computes_each_cached_coefficient_once(monkeypatch):
+    # From an empty cache, every key is grown only to new orders, so the
+    # coefficients its extensions compute add up to the largest order any
+    # task requested, counted from the product's shift: nothing is built
+    # twice and nothing is built that no task asks for.
+    requested, extended = defaultdict(list), defaultdict(list)
+    lookup, extend = etaq._lookup, etaq._Product._extend
 
-    def spy(key, order, build):
+    def spy_lookup(key, order):
         requested[key].append(order)
+        return lookup(key, order)
 
-        def counted(n):
-            built[key].append(n)
-            return build(n)
-        return cached(key, order, counted)
+    def spy_extend(entry, n):
+        old = 0 if entry.series is None else entry.series.order - entry.shift
+        extended[id(entry)].append(n - old)
+        return extend(entry, n)
 
-    etaq.clear_cache()
-    monkeypatch.setattr(etaq, "_cached", spy)
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    monkeypatch.setattr(etaq, "_lookup", spy_lookup)
+    monkeypatch.setattr(etaq._Product, "_extend", spy_extend)
     tasks.run_all()
-    assert all(len(orders) == 1 for orders in built.values()), dict(built)
-    for name, n in tasks.WARM_ORDERS.items():
-        key = etaq.resolve_name(name)
-        assert built[key] == [n] and max(requested[key]) == n
-        assert requested[key].count(n) >= 2, f"no task needs {name} at order {n}"
+    entries = dict(etaq._CACHE)
+    assert set(entries) == set(requested) == set(etaq.SeriesName)
+    for key, entry in entries.items():
+        lengths = extended[id(entry)]
+        assert all(length > 0 for length in lengths), (key, lengths)
+        assert sum(lengths) == max(requested[key]) - entry.shift, (key, lengths)

@@ -466,3 +466,113 @@ def test_identity_checks_do_not_build_through_the_plan(monkeypatch):
     for tid in ("theta-cubic", "k33", "k34"):
         assert not run_task(tid).passed, tid
     assert run_task("theta-squares").passed
+
+
+# ----------------------------------------------------------------------
+# resumed passes and cached products extended in place
+
+@given(blocked_factor(), st.data())
+@DIFF
+def test_resumed_pass_matches_one_pass(case, data):
+    # a pass over the first n0 entries, then resumed over the rest, equals
+    # one pass over all of them; n0 sits at and around block multiples
+    # and far-term exponents as often as anywhere else
+    coeffs, terms = case
+    n = len(coeffs)
+    splits = {s for s in NEAR_BLOCKS + [k + d for k, _ in terms for d in (-1, 0, 1)]
+              if 0 <= s <= n}
+    n0 = data.draw(st.sampled_from(sorted(splits | {0, n})) | st.integers(0, n))
+    for e in (1, -1):
+        whole = list(coeffs)
+        reference_pass(whole, terms, e)
+        if e > 0:
+            got = list(coeffs)
+            sparse_pass(got, terms, 1, n0)
+            assert got == coeffs[:n0] + whole[n0:]
+        else:
+            got = coeffs[:n0]
+            sparse_pass(got, terms, -1)
+            got += coeffs[n0:]
+            sparse_pass(got, terms, -1, n0)
+            assert got == whole
+
+
+def test_resuming_more_than_one_pass_is_refused():
+    with pytest.raises(ValueError):
+        sparse_pass([1, 2, 3], [(1, 1)], -2, 1)
+
+
+@st.composite
+def factor_list(draw):
+    """Up to three factors drawn from SUMS: weighted rows, +-1 rows and
+    the halves of R(q), at q -> q^m, to powers -3..3."""
+    names = draw(st.lists(st.sampled_from(sorted(SUMS)), min_size=0, max_size=3))
+    return [(name, draw(st.sampled_from([1, 2, 3, 5])),
+             draw(st.integers(-3, 3).filter(bool))) for name in names]
+
+
+@st.composite
+def ascending_orders(draw):
+    """An ascending run of orders up to 330: at and around block
+    multiples and the exponents of the sums, or anywhere."""
+    far = [k + d for k, _ in SUMS["eta"][1](330) if k >= BLOCK for d in (-1, 0, 1)]
+    points = st.sampled_from(NEAR_BLOCKS + far) | st.integers(1, 330)
+    return sorted(draw(st.sets(points, min_size=1, max_size=5)))
+
+
+def naive_factor_product(factors, n):
+    """The product of factors below q^n from the naive oracles only."""
+    out = [1] + [0] * (n - 1)
+    for name, m, e in factors:
+        base = dense_of([(m * k, c) for k, c in SUMS[name][1](n)], n)
+        if e < 0:
+            base = naive_inv(base, n)
+        out = naive_mul(out, naive_pow(base, abs(e), n), n)
+    return out
+
+
+def reference_product(factors, n):
+    """The product of factors below q^n, one reference_pass per factor."""
+    out = [1] + [0] * (n - 1)
+    for name, m, e in factors:
+        reference_pass(out, [(m * k, c) for k, c in SUMS[name][1](n)], e)
+    return out
+
+
+@given(factor_list(), factor_list(), st.integers(-3, 3), ascending_orders(),
+       ascending_orders(), st.data())
+@DIFF
+def test_extended_products_match_one_shot_builds(first, second, shift, up1, up2,
+                                                 data):
+    # two cached products grown in turn along their own ascending runs:
+    # every result equals a fresh build of the same order, and a later
+    # lower request returns the truncation of the largest
+    products = [(etaq._Product(first, shift), first, [shift + n for n in up1]),
+                (etaq._Product(second), second, up2)]
+    for step in range(max(len(up1), len(up2))):
+        for product, factors, orders in products:
+            if step < len(orders):
+                order = orders[step]
+                got = product.get(order)
+                assert got == factor_product(factors, order, product.shift)
+    for product, factors, orders in products:
+        top = orders[-1]
+        width = top - product.shift
+        want = reference_product(factors, width)
+        assert want == naive_factor_product(factors, width)
+        assert product.get(top) == Series(product.shift, want, top)
+        lower = data.draw(st.integers(product.shift + 1, top))
+        assert product.get(lower) == product.get(top).truncate(lower)
+        assert product.series.order == top
+
+
+@pytest.mark.parametrize("orders", [(3, 64, 65, 200), (130, 131), (1, 503)])
+def test_extended_f_matches_one_shot_build(orders, monkeypatch):
+    # f's source is the exactly divided C column, read from C's entry
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    for order in orders:
+        column = (eta_series({1: 3, 2: -2}, 5 * order + 5).extract(5, 4)
+                  .exact_div(5).truncate(order))
+        coeffs = [0] * column.valuation + list(column.coeffs)
+        apply_factors(coeffs, [("triangular", 1, 1)])
+        assert named_series("f", order) == Series(0, coeffs, order)
