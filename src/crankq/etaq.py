@@ -330,21 +330,23 @@ def _multiplies_first(factors: Iterable[Factor]) -> list[Factor]:
     return sorted(factors, key=lambda factor: factor[2] < 0)
 
 
+@cache
+def _stretched_terms(terms, m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (m k, c) below q^n of the sum ``terms`` at q -> q^m.  Keyed by the
+    generator, so a replaced ``SUMS`` row is never served stale terms."""
+    return tuple((m * k, c) for k, c in terms(-(-n // m)))
+
+
 def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
     """Multiply a dense coefficient list in place by a product of factors,
     multiply passes first (:func:`_multiplies_first`)."""
     for name, m, e in _multiplies_first(factors):
-        terms = SUMS[name][1](-(-len(coeffs) // m))   # k m < len(coeffs)
-        sparse_pass(coeffs, [(m * k, c) for k, c in terms], e)
+        sparse_pass(coeffs, _stretched_terms(SUMS[name][1], m, len(coeffs)), e)
 
 
 def factor_product(factors: Iterable[Factor], order: int, shift: int = 0) -> Series:
-    """q^shift times a product of factors, exact below ``order``."""
-    if order <= shift:
-        raise ValueError(f"order {order} must exceed the shift {shift}")
-    coeffs = [1] + [0] * (order - shift - 1)
-    apply_factors(coeffs, factors)
-    return Series(shift, coeffs, order)
+    """q^shift times a product of factors, exact below ``order``; not cached."""
+    return _Product(factors, shift).get(order)
 
 
 def climb(coeffs: list[int], factors: Sequence[Factor],
@@ -458,7 +460,7 @@ class _Product:
         n0 = 0 if final is None else final.order - self.shift
         prev = [1] + [0] * (n - 1) if self.source is None else self.source(n)
         for i, (name, m, sign) in enumerate(self.stages):
-            terms = [(m * k, c) for k, c in SUMS[name][1](-(-n // m))]
+            terms = _stretched_terms(SUMS[name][1], m, n)
             last = i + 1 == len(self.stages)
             if not last:
                 old = kept[i] or []

@@ -24,8 +24,8 @@ import threading
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CrankqError
-from .etaq import (NAMED_SPECS, SeriesName, apply_factors, climb, plan_quotient,
-                   power_sums, rr_factors)
+from .etaq import (NAMED_SPECS, Factor, SeriesName, apply_factors, climb,
+                   plan_quotient, power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -239,16 +239,34 @@ _U = rr_factors(1, 1) + rr_factors(2, 2)    # u = q R1 R2^2, without its q
 _V = rr_factors(1, 2) + rr_factors(2, -1)   # v = R1^2 / R2
 
 
+def _direct_move(m: int, n: int) -> list[Factor]:
+    """The factors of u^m v^n = R1^(m+2n) R2^(2m-n), without its q^m."""
+    return rr_factors(1, m + 2 * n) + rr_factors(2, 2 * m - n)
+
+
+def _row(x: list[int], sign: int, s: int, lo: int, hi: int) -> Iterator[list[int]]:
+    """x v^(sign (n - s)) for n = lo, ..., hi, climbed outward from x, the
+    point at n = s.  The points below s are kept until they are yielded;
+    the rest are one list multiplied in place, as in :func:`climb`."""
+    below = [y[:] for y in climb(x[:], _V, sign * (lo - s))]
+    yield from reversed(below[1:])
+    yield from climb(x, _V, sign * (hi - s))
+
+
 def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
                     order: int) -> Iterator[tuple[PmnIndex, Series]]:
     """P(m, n) evaluated directly from the R-series on a grid, m-major.
 
     The two defining terms are t = q^m R1^(m+2n) R2^(2m-n) and its
     reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2).  As
-    t = u^m v^n, the first point is built from its factors, each row's
-    first point from the one before by u's passes and each row by v's
-    passes; 1/t takes the same steps with multiply and divide swapped.
-    Only the current row's first and current point are kept.
+    t = u^m v^n and 1/t = u^-m v^-n, the grid needs the lattice points
+    +-(m, n), each one step of six passes from a neighbour.  The walk
+    starts at the point of row m_min that the fewest passes reach from 1
+    (1 itself when m_min = 0 and the n range holds 0), climbs the axis
+    by u and u^-1 one row at a time, and climbs each row by v outward
+    from its axis point.  Row m = 0 through 1 is climbed once, over the
+    union of the n ranges of t and 1/t.  Only the current axis pair and
+    row pair are kept.
     """
     if m_min < 0:
         raise ValueError("m must be >= 0")
@@ -256,16 +274,22 @@ def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
     if order <= m_max:
         raise ValueError(f"order must exceed m = {m_max} for the reciprocal term")
     width = order + m_max        # 1/t(m, n) starts at q^-m
-    corner = rr_factors(1, m_min + 2 * n_min) + rr_factors(2, 2 * m_min - n_min)
-    firsts = []
+    s = min(range(n_min, n_max + 1),
+            key=lambda n: sum(abs(e) for _, _, e in _direct_move(m_min, n)))
+    axes = []
     for sign in (1, -1):
         x = [1] + [0] * (width - 1)
-        apply_factors(x, [(name, m, sign * e) for name, m, e in corner])
-        firsts.append(climb(x, _U, sign * (m_max - m_min)))
-    for m, (t_first, inv_first) in enumerate(zip(*firsts), m_min):
-        row = zip(climb(t_first[:], _V, n_max - n_min),
-                  climb(inv_first[:], _V, n_min - n_max))
-        for n, (t, inv) in enumerate(row, n_min):
+        apply_factors(x, _direct_move(sign * m_min, sign * s))
+        axes.append(climb(x, _U, sign * (m_max - m_min)))
+    for m, (t_axis, inv_axis) in enumerate(zip(*axes), m_min):
+        if (m, s) == (0, 0):
+            lo, hi = min(n_min, -n_max), max(n_max, -n_min)
+            row = [y[:] for y in _row(t_axis[:], 1, 0, lo, hi)]
+            pairs = ((row[n - lo], row[-n - lo]) for n in range(n_min, n_max + 1))
+        else:
+            pairs = zip(_row(t_axis[:], 1, s, n_min, n_max),
+                        _row(inv_axis[:], -1, s, n_min, n_max))
+        for n, (t, inv) in enumerate(pairs, n_min):
             sign = 1 if (m + n) % 2 == 0 else -1
             yield (PmnIndex(m, n), Series(-m, inv[:order + m], order)
                    + Series(m, t[:order - m], order) * sign)

@@ -245,11 +245,15 @@ class Series:
         limit = min(self.order, other.order)
         if upto is not None:
             limit = min(limit, upto)
-        start = min(self.valuation, other.valuation, limit)
-        for n in range(start, limit):
-            if self._at(n) != other._at(n):
-                return n
-        return None
+        low = min(self.valuation, other.valuation)
+        if low >= limit:
+            return None
+        if self.valuation != other.valuation:
+            return low      # the lower one's leading coefficient is nonzero
+        a, b = self.coeffs[:limit - low], other.coeffs[:limit - low]
+        if a == b:
+            return None
+        return low + next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
     def agree(self, other: "Series", upto: Optional[int] = None) -> bool:
         return self.first_diff(other, upto) is None
@@ -272,10 +276,9 @@ class Series:
         val = min(self.valuation, other.valuation, order)
         out = [0] * (order - val)
         for src in (self, other):
-            lo = max(src.valuation, val)
-            hi = min(src.order, order)
-            for n in range(lo, hi):
-                out[n - val] += src._at(n)
+            window = src.coeffs[:max(order - src.valuation, 0)]
+            lo, hi = src.valuation - val, src.valuation - val + len(window)
+            out[lo:hi] = map(add, out[lo:hi], window)
         return Series(val, out, order)
 
     __radd__ = __add__

@@ -6,22 +6,23 @@ is built on it, coefficient for coefficient, with
 ``tests/oracles.py``, with a local copy of the dense route (powers of
 whole series and ``Series.invert``) that the passes replaced, and with a
 local copy of the unblocked per-coefficient kernel that the blocked one
-replaced.  Planned eta quotients are also compared with the plain route,
-|e| passes of f_m.
+replaced, and with a local copy of the corner-first P(m,n) lattice walk
+that the centre-out one replaced.  Planned eta quotients are also
+compared with the plain route, |e| passes of f_m.
 """
 
 import random
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crankq import etaq, kalgebra, series
 from crankq.errors import CrankqError
 from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, SeriesName,
-                         apply_factors, eta_factors, eta_quotient, eta_series,
-                         factor_cost, factor_product, named_series,
+                         apply_factors, climb, eta_factors, eta_quotient,
+                         eta_series, factor_cost, factor_product, named_series,
                          plan_quotient, rr_factors, rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, eval_at_K, eval_at_K_many, pmn,
                              pmn_series, pmn_series_grid,
@@ -358,6 +359,81 @@ def test_grid_refuses_empty_and_too_low_order():
         list(pmn_series_grid(0, 4, 0, 0, 4))
 
 
+def reference_pmn_grid(m_min, m_max, n_min, n_max, order):
+    """The lattice walk the centre-out one replaced: the corners t(m_min,
+    n_min) and 1/t(m_min, n_min) built from their factors, each row's first
+    point climbed from the one before by u, and each row by v."""
+    width = order + m_max
+    corner = rr_factors(1, m_min + 2 * n_min) + rr_factors(2, 2 * m_min - n_min)
+    firsts = []
+    for sign in (1, -1):
+        x = [1] + [0] * (width - 1)
+        apply_factors(x, [(name, m, sign * e) for name, m, e in corner])
+        firsts.append(climb(x, kalgebra._U, sign * (m_max - m_min)))
+    for m, (t_first, inv_first) in enumerate(zip(*firsts), m_min):
+        row = zip(climb(t_first[:], kalgebra._V, n_max - n_min),
+                  climb(inv_first[:], kalgebra._V, n_min - n_max))
+        for n, (t, inv) in enumerate(row, n_min):
+            sign = 1 if (m + n) % 2 == 0 else -1
+            yield ((m, n), Series(-m, inv[:order + m], order)
+                   + Series(m, t[:order - m], order) * sign)
+
+
+@st.composite
+def grid_shape(draw):
+    """m_min >= 0 and n ranges that hold 0 or not, asymmetric ones too,
+    with an order from m_max + 1 to 200."""
+    m_min = draw(st.integers(0, 4))
+    m_max = m_min + draw(st.integers(0, 3))
+    n_min = draw(st.integers(-6, 5))
+    n_max = n_min + draw(st.integers(0, 6))
+    return m_min, m_max, n_min, n_max, draw(st.integers(m_max + 1, 200))
+
+
+@given(grid_shape())
+@DIFF
+def test_centre_out_grid_matches_reference_lattice(shape):
+    got = [(tuple(index), series) for index, series in pmn_series_grid(*shape)]
+    assert got == list(reference_pmn_grid(*shape))
+
+
+def grid_passes(monkeypatch, grid):
+    """The sparse passes run while a grid streams out."""
+    passes = []
+
+    def counted(coeffs, terms, e=1, start=0):
+        passes.append(abs(e))
+        sparse_pass(coeffs, terms, e, start)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(etaq, "sparse_pass", counted)
+        for _ in grid:
+            pass
+    return sum(passes)
+
+
+def test_default_grid_runs_372_passes(monkeypatch):
+    # 63 lattice points u^i v^j, |i| <= 4, |j| <= 3, reached from 1 by 62
+    # steps of six passes; the corner walk ran 444
+    shape = (0, 4, -3, 3, 400)
+    assert grid_passes(monkeypatch, pmn_series_grid(*shape)) == 372
+    assert grid_passes(monkeypatch, reference_pmn_grid(*shape)) == 444
+
+
+@pytest.mark.parametrize("m_min, m_max, n_min, n_max", [
+    # the shapes of test_batched_grid_shapes_match_dense_route
+    (0, 0, -3, 3), (0, 3, 1, 4), (0, 3, -4, -1), (2, 4, -1, 1), (3, 3, 2, 2),
+    # one-point grids
+    (0, 0, 0, 0), (0, 0, -3, -3), (1, 1, 2, 2), (2, 2, -1, -1), (4, 4, -3, -3),
+    (5, 5, 0, 0),
+])
+def test_grid_runs_no_more_passes_than_reference(m_min, m_max, n_min, n_max,
+                                                 monkeypatch):
+    shape = (m_min, m_max, n_min, n_max, 60)
+    assert (grid_passes(monkeypatch, pmn_series_grid(*shape))
+            <= grid_passes(monkeypatch, reference_pmn_grid(*shape)))
+
+
 def test_grid_witness_is_first_failure_in_m_major_order(monkeypatch):
     # corrupt two points; (1, 2) comes first in m-major order, (3, -1)
     # would come first in n-major order
@@ -529,6 +605,17 @@ def naive_factor_product(factors, n):
             base = naive_inv(base, n)
         out = naive_mul(out, naive_pow(base, abs(e), n), n)
     return out
+
+
+@given(factor_list(), st.integers(-3, 3), st.integers(1, 150))
+@example([], 2, 5)
+@DIFF
+def test_one_shot_product_matches_naive_product(factors, shift, width):
+    # factor_product lays out a first multiply of the unit list in O(n)
+    # rather than by a pass
+    order = shift + width
+    want = Series(shift, naive_factor_product(factors, width), order)
+    assert factor_product(factors, order, shift) == want
 
 
 def reference_product(factors, n):

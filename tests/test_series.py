@@ -310,3 +310,57 @@ def test_reduce_mod_is_ring_homomorphism(a, b, m):
 @given(series_st(), st.integers(1, 4))
 def test_stretch_order_rule(a, m):
     assert a.stretch(m).order == m * a.order
+
+
+# ----------------------------------------------------------------------
+# addition and first_diff against a per-coefficient reference
+
+def operand_st():
+    """Series with negative or positive valuations, unequal orders,
+    leading zeros that the constructor strips, and zero series."""
+    def build(val, coeffs, extra):
+        return Series(val, coeffs, val + len(coeffs)) if coeffs else Series.zero(val + extra)
+    lists = st.lists(st.sampled_from([0, 0, 1, -1, 7]), max_size=12)
+    return st.builds(build, st.integers(-6, 6), lists, st.integers(0, 4))
+
+
+def coefficient_at(series, n):
+    return dict(series.terms()).get(n, 0)
+
+
+def reference_add(a, b):
+    if isinstance(b, int):
+        b = Series.const(b, max(a.order, 1))
+    order = min(a.order, b.order)
+    val = min(a.valuation, b.valuation, order)
+    return Series(val, [coefficient_at(a, n) + coefficient_at(b, n)
+                        for n in range(val, order)], order)
+
+
+def reference_first_diff(a, b, upto):
+    limit = min(a.order, b.order, a.order if upto is None else upto)
+    return next((n for n in range(min(a.valuation, b.valuation, limit), limit)
+                 if coefficient_at(a, n) != coefficient_at(b, n)), None)
+
+
+@given(operand_st(), operand_st() | st.integers(-3, 3))
+@settings(max_examples=200)
+def test_add_matches_per_coefficient_reference(a, b):
+    assert a + b == reference_add(a, b)
+    assert b + a == reference_add(a, b)
+
+
+@given(operand_st(), operand_st(), st.none() | st.integers(-8, 20), st.data())
+@settings(max_examples=200)
+def test_first_diff_matches_per_coefficient_reference(a, b, upto, data):
+    # also b equal to a up to one changed coefficient, and upto at or
+    # below a valuation
+    if a.coeffs and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(a.coeffs) - 1))
+        changed = list(a.coeffs)
+        changed[i] += data.draw(st.sampled_from([1, -1]))
+        b = Series(a.valuation, changed, a.order)
+        upto = data.draw(st.sampled_from([None, a.valuation, a.valuation - 1,
+                                          a.valuation + i, a.valuation + i + 1]))
+    assert a.first_diff(b, upto) == reference_first_diff(a, b, upto)
+    assert b.first_diff(a, upto) == reference_first_diff(a, b, upto)
