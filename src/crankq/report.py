@@ -83,8 +83,7 @@ class CheckReport:
 
 
 def first_mismatch(lhs: Series, rhs: Series, keys: tuple[str, str] = ("lhs", "rhs"),
-                   modulus: Optional[int] = None,
-                   upto: Optional[int] = None) -> Optional[dict[str, int]]:
+                   modulus: Optional[int] = None) -> Optional[dict[str, int]]:
     """Witness at the lowest exponent where two series differ, or None.
 
     With ``modulus`` both sides are compared, and reported, as least
@@ -92,7 +91,7 @@ def first_mismatch(lhs: Series, rhs: Series, keys: tuple[str, str] = ("lhs", "rh
     """
     if modulus is not None:
         lhs, rhs = lhs.reduce_mod(modulus), rhs.reduce_mod(modulus)
-    diff = lhs.first_diff(rhs, upto=upto)
+    diff = lhs.first_diff(rhs)
     if diff is None:
         return None
     return {"exponent": diff, keys[0]: lhs._at(diff), keys[1]: rhs._at(diff)}

@@ -407,10 +407,7 @@ class Series:
             raise ValueError(f"residue {r} not in [0, {m})")
         new_order = -((r - self.order) // m)  # ceil((order - r) / m)
         n_lo = -((r - self.valuation) // m)
-        if n_lo >= new_order:
-            return Series.zero(new_order)
-        out = [self._at(m * n + r) for n in range(n_lo, new_order)]
-        return Series(n_lo, out, new_order)
+        return Series(n_lo, self.coeffs[m * n_lo + r - self.valuation::m], new_order)
 
     def reduce_mod(self, modulus: int) -> "Series":
         """Reduce every coefficient to its least non-negative residue."""

@@ -28,9 +28,9 @@ from .congruence import (ORACLES, CongruenceFamily, _is_prime, _n_max_for,
                          check_progression, cooper_hirschhorn_check,
                          oracle_rows, solve_24n_condition)
 from .errors import CrankqError
-from .etaq import SeriesName, eta_series, named_series
-from .report import CheckReport, first_mismatch
-from .theta import ThetaKind
+from .etaq import SeriesName, named_series
+from .report import CheckReport
+from .theta import IDENTITIES, ThetaKind
 
 __all__ = ["task_ids", "describe", "run_task", "run_all"]
 
@@ -66,13 +66,10 @@ def _check_thm11(alpha: Optional[int] = None, n_max: Optional[int] = None,
 
 
 def _check_thm12(order: int = 300) -> CheckReport:
-    """Exact identity: the C(5n+4) column equals 5 f_1^2 f_5 f_10^2 / f_2^4."""
-    c_series = named_series(SeriesName.C_CRANK, 5 * order + 5)
-    rhs = eta_series({1: 2, 5: 1, 10: 2, 2: -4}, order) * 5
+    """Exact identity: the C(5n+4) column equals its eta quotient."""
     params = {"identity": "C(5n+4) = 5*f1^2*f5*f10^2/f2^4"}
-    return CheckReport.from_failures(
-        "thm12", params, order,
-        [first_mismatch(c_series.extract(5, 4), rhs, upto=order)])
+    return CheckReport.from_failures("thm12", params, order,
+                                     [IDENTITIES["thm12"].mismatch(order)])
 
 
 def _check_5p2_families(task: str, p: int, shift: int, weight: ThetaKind,
@@ -118,31 +115,17 @@ def _check_cr2(p: int = 7, n_max: Optional[int] = None,
 
 
 def _check_a54(order: int = 150, n_max: int = 100) -> CheckReport:
-    """The A(5n+4) column reduces to f_2^2 f_10^2 mod 5, hence the odd
-    half A(10n+9) vanishes mod 5."""
-    big = named_series(SeriesName.A_CAP, max(5 * order + 5, 10 * n_max + 10))
-    params = {"order": order, "n_max": n_max}
-    column_diff = first_mismatch(big.extract(5, 4), eta_series({2: 2, 10: 2}, order),
-                                 modulus=5, upto=order)
+    """The A(5n+4) column mod 5, and the vanishing of A(10n+9) mod 5."""
     family = CongruenceFamily(SeriesName.A_CAP, 5, stride=10, offset=9)
-    odd_half = check_progression(family, n_max, series=big, task="a54")
-    return CheckReport.from_failures("a54", params, order,
-                                     [column_diff, odd_half.witness])
+    odd_half = check_progression(family, n_max, task="a54")
+    return CheckReport.from_failures("a54", {"order": order, "n_max": n_max}, order,
+                                     [IDENTITIES["a54"].mismatch(order), odd_half.witness])
 
 
 def _check_a51(order: int = 150) -> CheckReport:
-    """The a(5n+1) column reduces to 3 f_1 f_2^2 mod 5."""
-    column = named_series(SeriesName.A_RECIP, 5 * order + 2).extract(5, 1)
-    target = eta_series({1: 1, 2: 2}, order) * 3
-    return CheckReport.from_failures(
-        "a51", {"order": order}, order,
-        [first_mismatch(column, target, modulus=5, upto=order)])
-
-
-def _check_f52_order(order: int) -> None:
-    """The reductions have a q^2 term, so they need order >= 3."""
-    if order < 3:
-        raise CrankqError(f"order must be >= 3, got {order}")
+    """The a(5n+1) column reduces mod 5 to its eta quotient."""
+    return CheckReport.from_failures("a51", {"order": order}, order,
+                                     [IDENTITIES["a51"].mismatch(order)])
 
 
 def _check_f52(order: int = 100, n_max: int = 10,
@@ -155,49 +138,27 @@ def _check_f52(order: int = 100, n_max: int = 10,
     forces f_10^5 there), so the "identity" part of this task fails with
     a witness by construction.  See :func:`_check_f52_corrected` for the
     repaired form, which does hold.  The vanishing part is unaffected.
-    ``which`` runs "both" parts, the "identity" or the "vanishing".
+    ``which`` runs "both" parts, the "identity" or the "vanishing"; the
+    row's order check applies to each.
     """
     if which not in ("both", "identity", "vanishing"):
         raise ValueError(f"unknown f52 selector {which!r}")
-    _check_f52_order(order)
-    big = named_series(SeriesName.F_CONV, max(5 * order + 3, 25 * n_max + 23))
+    diff = IDENTITIES["f52"].mismatch(order)
     params = {"order": order, "n_max": n_max, "which": which}
     failures = []
-    if which in ("both", "identity"):
-        target = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
-                  + eta_series({10: 2, 2: -1, 5: -2}, order, shift=1) * (-5)
-                  + eta_series({1: 2, 10: 8, 5: -4}, order, shift=2) * 5)
-        diff = first_mismatch(big.extract(5, 2), target, modulus=25, upto=order)
-        if diff:
-            failures.append({"check": "identity", **diff})
-    if which in ("both", "vanishing"):
+    if which != "vanishing":
+        failures.append(diff and {"check": "identity", **diff})
+    if which != "identity":
         family = CongruenceFamily(SeriesName.F_CONV, 25, stride=25, offset=22)
-        part = check_progression(family, n_max, series=big, task="f52")
-        if not part.passed:
-            failures.append(dict(part.witness, check="vanishing"))
+        witness = check_progression(family, n_max, task="f52").witness
+        failures.append(witness and dict(witness, check="vanishing"))
     return CheckReport.from_failures("f52", params, order, failures)
 
 
 def _check_f52_corrected(order: int = 100) -> CheckReport:
-    """Repaired forms of the f(5n+2) reduction, both of which do hold.
-
-    Exact: the column equals f_1^3 f_10^2/(f_2^2 f_5)
-    - 5q f_1^5 f_10^6/(f_2^6 f_5^3) + 5q^2 f_1^7 f_10^10/(f_2^10 f_5^5).
-    Mod 25: the middle term collapses to -5q f_10^5/(f_2 f_5^2).
-    """
-    _check_f52_order(order)
-    column = named_series(SeriesName.F_CONV, 5 * order + 3).extract(5, 2)
-    exact = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
-             + eta_series({1: 5, 10: 6, 2: -6, 5: -3}, order, shift=1) * (-5)
-             + eta_series({1: 7, 10: 10, 2: -10, 5: -5}, order, shift=2) * 5)
-    reduced = (eta_series({1: 3, 10: 2, 2: -2, 5: -1}, order)
-               + eta_series({10: 5, 2: -1, 5: -2}, order, shift=1) * (-5)
-               + eta_series({1: 2, 10: 8, 5: -4}, order, shift=2) * 5)
-    failures = []
-    for check, target, modulus in (("exact", exact, None), ("mod25", reduced, 25)):
-        diff = first_mismatch(column, target, modulus=modulus, upto=order)
-        if diff:
-            failures.append({"check": check, **diff})
+    """Repaired forms of the f(5n+2) reduction, exact and mod 25; both hold."""
+    failures = ({"check": check, **diff} for check in ("exact", "mod25")
+                if (diff := IDENTITIES[f"f52-{check}"].mismatch(order)))
     return CheckReport.from_failures("f52-corrected", {"order": order}, order,
                                      failures)
 

@@ -1,4 +1,4 @@
-"""Closed-form theta-style sums and the classical identities behind the checks.
+"""Closed-form theta-style sums and the identities behind the checks.
 
 Each :class:`ThetaKind` names a row of :data:`crankq.etaq.SUMS`: a term
 generator for a sum of ``weight(k) * q^(exponent(k))`` and the exponents
@@ -6,23 +6,28 @@ generator for a sum of ``weight(k) * q^(exponent(k))`` and the exponents
 products from the same rows, so :func:`verify_theta_identity` compares
 each sum against the plain route (|e| passes of f_m per factor), never
 against a plan that could use the identity being checked.  The module
-also verifies the quintic dissections of the Euler product and the two
-Laurent identities for the parameter K = f_2 f_5^5 / (q f_1 f_10^5),
-again against the plain route.
+also verifies the quintic dissections of the Euler product.
+:data:`IDENTITIES` states each other eta-quotient identity a task checks
+once, as an :class:`Identity` row; the Laurent identities for the
+parameter K are ``plain`` rows, for the same reason.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Optional
 
-from .etaq import (SUMS, EtaQuotientSpec, SeriesName, eta_factors, eta_series,
-                   factor_product, named_series, power_sum, rr_factors)
+from .errors import CrankqError
+from .etaq import (SUMS, EtaQuotientSpec, SeriesName, eta_factors, eta_quotient,
+                   eta_series, factor_product, named_series, power_sum, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
 __all__ = [
     "ThetaKind",
+    "Identity",
+    "IDENTITIES",
     "theta_sum",
     "verify_theta_identity",
     "verify_5dissections",
@@ -47,17 +52,16 @@ def theta_sum(kind: ThetaKind, order: int) -> Series:
     return Series.from_terms([(0, 1), *SUMS[kind.value][1](order)], order)
 
 
-def _plain(factors: Mapping[int, int], order: int, shift: int = 0) -> Series:
-    """q^shift prod f_m^e by the plain route, which uses no identity."""
-    spec = EtaQuotientSpec.make(factors, shift)
-    return factor_product(eta_factors(spec), order, shift)
+def _plain(spec: EtaQuotientSpec, order: int) -> Series:
+    """The eta quotient by the plain route, which uses no identity."""
+    return factor_product(eta_factors(spec), order, spec.shift)
 
 
 def verify_theta_identity(kind: ThetaKind, order: int) -> CheckReport:
     """Compare the closed-form sum against its eta quotient up to order."""
     a, b = SUMS[kind.value][0]
-    diff = first_mismatch(theta_sum(kind, order), _plain({1: a, 2: b}, order),
-                          keys=("sum", "quotient"))
+    quotient = _plain(EtaQuotientSpec.make({1: a, 2: b}), order)
+    diff = first_mismatch(theta_sum(kind, order), quotient, keys=("sum", "quotient"))
     return CheckReport.from_failures(f"theta-{kind.value}", {"kind": kind.value},
                                      order, [diff])
 
@@ -91,20 +95,61 @@ def verify_5dissections(order: int, which: str) -> CheckReport:
                                      [diff and {"identity": which, **diff}])
 
 
-# selector -> (c, exponents of the eta quotient equal to q (K + c))
-_K_IDENTITIES = {"33": (1, {1: -2, 2: 4, 5: 2, 10: -4}),
-                 "34": (-4, {1: 3, 2: -1, 5: 1, 10: -3})}
+@dataclass(frozen=True)
+class Identity:
+    """The (m, r) column of a named series, sum of c(m n + r) q^n, equals
+    the sum of c * spec over ``terms`` (mod ``modulus``, if given).  Each
+    spec carries its power of q; the empty spec is the constant 1.  A
+    ``plain`` row builds its target by the plain route, not the planner."""
+
+    series: SeriesName
+    m: int
+    r: int
+    terms: tuple[tuple[int, EtaQuotientSpec], ...]
+    modulus: Optional[int] = None
+    plain: bool = False
+
+    def mismatch(self, order: int) -> Optional[dict[str, int]]:
+        """:func:`first_mismatch` of the two sides below ``order``, or None."""
+        top = max(spec.shift for _, spec in self.terms)
+        if order <= top:
+            raise CrankqError(f"order must be >= {top + 1}, got {order}")
+        column = named_series(self.series, self.m * order + self.r)
+        build = _plain if self.plain else eta_quotient
+        target = sum(build(spec, order) * c for c, spec in self.terms)
+        return first_mismatch(column.extract(self.m, self.r), target, modulus=self.modulus)
+
+
+_spec = EtaQuotientSpec.make
+# shared by the quoted f(5n+2) reduction and its repaired forms
+_F52_HEAD = (1, _spec({1: 3, 2: -2, 5: -1, 10: 2}))
+_F52_TAIL = (5, _spec({1: 2, 5: -4, 10: 8}, 2))
+
+# task id, or task id and form -> the identity the task checks
+IDENTITIES: dict[str, Identity] = {
+    "thm12": Identity(SeriesName.C_CRANK, 5, 4, ((5, _spec({1: 2, 2: -4, 5: 1, 10: 2})),)),
+    "a51": Identity(SeriesName.A_RECIP, 5, 1, ((3, _spec({1: 1, 2: 2})),), modulus=5),
+    "a54": Identity(SeriesName.A_CAP, 5, 4, ((1, _spec({2: 2, 10: 2})),), modulus=5),
+    "f52": Identity(SeriesName.F_CONV, 5, 2, (
+        _F52_HEAD, (-5, _spec({2: -1, 5: -2, 10: 2}, 1)), _F52_TAIL), modulus=25),
+    "f52-exact": Identity(SeriesName.F_CONV, 5, 2, (
+        _F52_HEAD, (-5, _spec({1: 5, 2: -6, 5: -3, 10: 6}, 1)),
+        (5, _spec({1: 7, 2: -10, 5: -5, 10: 10}, 2)))),
+    "f52-mod25": Identity(SeriesName.F_CONV, 5, 2, (
+        _F52_HEAD, (-5, _spec({2: -1, 5: -2, 10: 5}, 1)), _F52_TAIL), modulus=25),
+    "k33": Identity(SeriesName.K_PARAM, 1, 0, (
+        (1, _spec({1: -2, 2: 4, 5: 2, 10: -4}, -1)), (-1, _spec({}))), plain=True),
+    "k34": Identity(SeriesName.K_PARAM, 1, 0, (
+        (1, _spec({1: 3, 2: -1, 5: 1, 10: -3}, -1)), (4, _spec({}))), plain=True),
+}
 
 
 def verify_K_identities(order: int, which: str) -> CheckReport:
-    """Check K + 1 ("33") or K - 4 ("34") against its eta quotient as a
-    Laurent series."""
+    """Check K + 1 ("33") or K - 4 ("34") against its eta quotient."""
     if order < 10:
         raise ValueError("order must be >= 10")
-    if which not in _K_IDENTITIES:
+    if f"k{which}" not in IDENTITIES:
         raise ValueError(f"unknown K-identity selector {which!r}")
-    c, quotient = _K_IDENTITIES[which]
-    diff = first_mismatch(named_series(SeriesName.K_PARAM, order) + c,
-                          _plain(quotient, order, shift=-1))
+    diff = IDENTITIES[f"k{which}"].mismatch(order)
     return CheckReport.from_failures(f"k{which}", {"which": which}, order,
                                      [diff and {"identity": which, **diff}])

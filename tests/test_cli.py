@@ -168,6 +168,16 @@ def test_verify_f52_order_below_three_is_usage_error(capsys, tid, order):
     assert err.strip() == f"error: {tid}: order must be >= 3, got {order}"
 
 
+@pytest.mark.parametrize("tid", ["thm12", "a51", "a54", "f52", "f52-corrected",
+                                 "k33", "k34"])
+def test_verify_identity_task_honours_order(capsys, tid):
+    # run_task passes --order only to a task whose signature names it
+    code, out, _ = run(capsys, "verify", "--theorem", tid, "--order", "37",
+                       "--format", "json")
+    assert code == (1 if tid == "f52" else 0)
+    assert json.loads(out)["order"] == 37
+
+
 def test_pmn_json(capsys):
     code, out, _ = run(capsys, "pmn", "--m", "0", "--n", "1", "--format", "json")
     assert code == 0

@@ -31,7 +31,7 @@ def test_run_all_computes_each_cached_coefficient_once(monkeypatch):
 
     def spy_extend(entry, n):
         old = 0 if entry.series is None else entry.series.order - entry.shift
-        extended[id(entry)].append(n - old)
+        extended[entry].append(n - old)
         return extend(entry, n)
 
     monkeypatch.setattr(etaq, "_CACHE", {})
@@ -41,6 +41,6 @@ def test_run_all_computes_each_cached_coefficient_once(monkeypatch):
     entries = dict(etaq._CACHE)
     assert set(entries) == set(requested) == set(etaq.SeriesName)
     for key, entry in entries.items():
-        lengths = extended[id(entry)]
+        lengths = extended[entry]
         assert all(length > 0 for length in lengths), (key, lengths)
         assert sum(lengths) == max(requested[key]) - entry.shift, (key, lengths)

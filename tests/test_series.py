@@ -364,3 +364,16 @@ def test_first_diff_matches_per_coefficient_reference(a, b, upto, data):
                                           a.valuation + i, a.valuation + i + 1]))
     assert a.first_diff(b, upto) == reference_first_diff(a, b, upto)
     assert b.first_diff(a, upto) == reference_first_diff(a, b, upto)
+
+
+def reference_extract(a, m, r):
+    order = -(-(a.order - r) // m)
+    low = min((a.valuation - r) // m, order)
+    return Series(low, [coefficient_at(a, m * n + r) for n in range(low, order)], order)
+
+
+@given(operand_st(), st.integers(1, 7))
+@settings(max_examples=200)
+def test_extract_matches_per_coefficient_reference(a, m):
+    for r in range(m):
+        assert a.extract(m, r) == reference_extract(a, m, r)

@@ -1,10 +1,15 @@
 """Closed theta-style sums and the classical identity checks."""
 
+from dataclasses import replace
+from inspect import signature
+
 import pytest
 
+from crankq import etaq, tasks, theta
+from crankq.errors import CrankqError
 from crankq.etaq import eta_series, named_series, rr_stretch
 from crankq.series import Series
-from crankq.theta import (ThetaKind, five_dissection_sides, theta_sum,
+from crankq.theta import (IDENTITIES, ThetaKind, five_dissection_sides, theta_sum,
                           verify_5dissections, verify_K_identities,
                           verify_theta_identity)
 
@@ -114,3 +119,60 @@ def test_k_identities_preconditions():
 
 def test_rr_stretch_consistency():
     assert rr_stretch(5, 60).agree(rr_stretch(1, 12).stretch(5))
+
+
+# ----------------------------------------------------------------------
+# the identity table
+
+def default_order(row):
+    """The default order of the task that checks the row."""
+    tid = "f52-corrected" if row.startswith("f52-") else row
+    return signature(tasks._REGISTRY[tid][1]).parameters["order"].default
+
+
+@pytest.mark.parametrize("row", sorted(IDENTITIES))
+def test_identity_row_holds_at_its_task_default_order(row):
+    # all but the quoted f52 reduction, the documented misprint
+    expected = {"exponent": 11, "lhs": 20, "rhs": 5} if row == "f52" else None
+    assert IDENTITIES[row].mismatch(default_order(row)) == expected
+
+
+@pytest.mark.parametrize("row", sorted(IDENTITIES))
+def test_identity_row_mutant_is_refuted(row):
+    # one more of the first term must be refuted, so the generic check
+    # compares what the row states
+    identity = IDENTITIES[row]
+    (c, spec), *rest = identity.terms
+    mutant = replace(identity, terms=((c + 1, spec), *rest))
+    order = default_order(row)
+    witness = mutant.mismatch(order)
+    assert witness is not None and witness["exponent"] < order
+    assert witness["lhs"] != witness["rhs"]
+
+
+def test_plain_rows_build_no_target_through_the_plan(monkeypatch):
+    def planned(*args):
+        raise AssertionError("target built through the plan")
+
+    monkeypatch.setattr(theta, "eta_quotient", planned)
+    for row in ("k33", "k34"):
+        assert IDENTITIES[row].plain and IDENTITIES[row].mismatch(150) is None
+
+
+def test_identity_row_with_q2_term_refuses_low_orders():
+    row = IDENTITIES["f52-exact"]
+    assert max(spec.shift for _, spec in row.terms) == 2
+    for order in (1, 2):
+        with pytest.raises(CrankqError, match=f"^order must be >= 3, got {order}$"):
+            row.mismatch(order)
+
+
+@pytest.mark.parametrize("which", ["both", "identity", "vanishing"])
+def test_f52_refuses_low_order_before_any_build(monkeypatch, which):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    monkeypatch.setattr(etaq, "_Product", no_build)
+    with pytest.raises(CrankqError, match="^order must be >= 3, got 2$"):
+        tasks.run_task("f52", order=2, which=which)
