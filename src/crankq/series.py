@@ -25,7 +25,9 @@ a dense coefficient list, in place, by a sparse unit series
 ``1 + sum c q^k``.  Every eta quotient, R(q) and P(m,n) evaluation is a
 sequence of such passes, and :meth:`Series.invert` is one divide pass.
 Terms with coefficient +-1 (all of f_m, psi and both halves of R(q)) run
-as C-level ``map`` slices; weighted terms cost one bytecode step each.
+as C-level ``map`` slices, except the unit terms of a divide below
+:data:`_BLOCK`; those and the weighted terms cost one bytecode step
+each per coefficient.
 A pass can resume on a longer list where it stopped (``start``), which
 is how the cached series of :mod:`crankq.etaq` grow to a higher order
 without recomputing their prefix.
@@ -45,11 +47,13 @@ def _nnz(coeffs: tuple[int, ...]) -> int:
     return sum(1 for c in coeffs if c)
 
 
-# Output block of a divide pass.  A unit term with k >= _BLOCK reaches only
-# later blocks, so each finished block is pushed into them by one C-level
-# map per such term.  Smaller blocks pay more slices, larger ones keep more
-# terms in the Python loop: on dense big-integer lists 64 was fastest or
-# tied at N = 500, 1500 and 4000 against 16, 32, 128 and 256.
+# The smallest octave of a divide pass.  A unit term with k >= _BLOCK
+# reaches only later blocks, so each finished block of its octave is pushed
+# into them by one C-level map.  Smaller blocks pay more slices, larger ones
+# keep more terms in the Python loop.  With the sign-split loop, unit
+# divides (eta, rr-den) at N = 404, 2000 and 10000 against 64: 32 took
+# +7 to +15 %, +4 to +8 % and -1 to +3 %; 128 took -5 to -9 %, -1 to -3 %
+# and -1 to +3 %.  Neither is fastest at all three, so 64 stays.
 _BLOCK = 64
 
 
@@ -62,10 +66,15 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     term.  A multiply (e > 0) adds each shifted copy in one slice: a
     C-level ``map(add|sub, ...)`` for c = +-1, a comprehension otherwise.
     A divide (e < 0) runs the convolution recurrence
-    ``b[n] = a[n] - sum c * b[n - k]`` block by block (:data:`_BLOCK`):
-    the far unit terms are pushed forward from each finished block by
-    ``map``, the rest run per coefficient.  The list is a truncation, and
-    every entry stays exact.
+    ``b[n] = a[n] - sum c * b[n - k]``.  A unit term with k >= _BLOCK is
+    far: it sits in the octave S <= k < 2S (S = _BLOCK, 2 _BLOCK, ...),
+    reaches only entries at least S later, and is pushed forward by one
+    ``map`` from each finished block of S entries, counted from
+    ``start``.  The near unit terms and every weighted term run per
+    coefficient: each joins the recurrence when the index reaches its k,
+    into a +1, a -1 or a weighted list, so the loops neither test k nor
+    multiply by +-1.  The list is a truncation, and every entry stays
+    exact.
 
     ``start`` resumes one pass (e = +-1) that already ran on a list
     ``start`` long, so only the entries from ``start`` on are computed,
@@ -74,8 +83,8 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     leaving ``coeffs[:start]`` as input.  A divide finds its quotient in
     ``coeffs[:start]`` and its new input after it: it first pushes the
     finished prefix through the far unit terms into the new entries, then
-    runs the blocked recurrence from ``start``.  A fresh pass is
-    ``start = 0``.
+    runs the recurrence from ``start``, its octave blocks aligned there.
+    A fresh pass is ``start = 0``.
     """
     n = len(coeffs)
     if start and e not in (1, -1):
@@ -98,6 +107,9 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     near = [(k, c) for k, c in terms if k < _BLOCK or c not in (1, -1)]
     far = [(k, sub if c == 1 else add) for k, c in terms
            if k >= _BLOCK and c in (1, -1)]
+    octaves: dict[int, list] = {}
+    for k, op in far:
+        octaves.setdefault(_BLOCK << (k // _BLOCK).bit_length() - 1, []).append((k, op))
     for _ in range(-e):
         for k, op in far if start else ():
             if k >= n:
@@ -105,20 +117,40 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
             lo = max(start - k, 0)
             coeffs[lo + k:start + k] = map(op, coeffs[lo + k:start + k],
                                            coeffs[lo:start])
-        for lo in range(start, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            for i in range(lo, hi):
+        plus, minus, weighted = [], [], []
+        joins = iter(near + [(n, 0)])
+        k, c = next(joins)
+        i = start
+        while i < n:
+            while k <= i:
+                if c == 1:
+                    plus.append(k)
+                elif c == -1:
+                    minus.append(k)
+                else:
+                    weighted.append((k, c))
+                k, c = next(joins)
+            # a segment ends at the next block end or where the next term joins
+            hi = min(i - (i - start) % _BLOCK + _BLOCK, k, n)
+            for i in range(i, hi):
                 s = coeffs[i]
-                for k, c in near:
-                    if k > i:
-                        break
-                    s -= c * coeffs[i - k]
+                for d in plus:
+                    s -= coeffs[i - d]
+                for d in minus:
+                    s += coeffs[i - d]
+                for d, w in weighted:
+                    s -= w * coeffs[i - d]
                 coeffs[i] = s
-            block = coeffs[lo:hi]
-            for k, op in far:
-                if lo + k >= n:
-                    break
-                coeffs[lo + k:hi + k] = map(op, coeffs[lo + k:hi + k], block)
+            i = hi
+            for size, group in octaves.items():
+                if (hi - start) % size:
+                    continue
+                lo = hi - size
+                block = coeffs[lo:hi]
+                for d, op in group:
+                    if lo + d >= n:
+                        break
+                    coeffs[lo + d:hi + d] = map(op, coeffs[lo + d:hi + d], block)
 
 
 class Series:
@@ -236,15 +268,12 @@ class Series:
     def __hash__(self) -> int:
         return hash((self.valuation, self.coeffs, self.order))
 
-    def first_diff(self, other: "Series", upto: Optional[int] = None) -> Optional[int]:
+    def first_diff(self, other: "Series") -> Optional[int]:
         """Lowest exponent where the two series disagree, or None.
 
-        Comparison runs over the common validity window, additionally
-        capped by ``upto`` when given.
+        Comparison runs over the common validity window.
         """
         limit = min(self.order, other.order)
-        if upto is not None:
-            limit = min(limit, upto)
         low = min(self.valuation, other.valuation)
         if low >= limit:
             return None
@@ -255,8 +284,8 @@ class Series:
             return None
         return low + next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
-    def agree(self, other: "Series", upto: Optional[int] = None) -> bool:
-        return self.first_diff(other, upto) is None
+    def agree(self, other: "Series") -> bool:
+        return self.first_diff(other) is None
 
     # ------------------------------------------------------------------
     # ring operations
