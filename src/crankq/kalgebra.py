@@ -21,10 +21,12 @@ in the Laurent ring.
 from __future__ import annotations
 
 import threading
+from functools import cache
+from itertools import pairwise
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CrankqError
-from .etaq import (NAMED_SPECS, Factor, SeriesName, apply_factors, climb,
+from .etaq import (NAMED_SPECS, Factor, SeriesName, apply_factors, factor_cost,
                    plan_quotient, power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
@@ -235,22 +237,67 @@ def _check_grid(m_min: int, m_max: int, n_min: int, n_max: int) -> dict[str, int
     return {"m_max": m_max, "n_min": n_min, "n_max": n_max}
 
 
-_U = rr_factors(1, 1) + rr_factors(2, 2)    # u = q R1 R2^2, without its q
-_V = rr_factors(1, 2) + rr_factors(2, -1)   # v = R1^2 / R2
+_Point = tuple[int, int]    # (a, b): the lattice point R1^a R2^b
 
 
-def _direct_move(m: int, n: int) -> list[Factor]:
-    """The factors of u^m v^n = R1^(m+2n) R2^(2m-n), without its q^m."""
-    return rr_factors(1, m + 2 * n) + rr_factors(2, 2 * m - n)
+def _point(m: int, n: int) -> _Point:
+    """t(m, n) = u^m v^n without its q^m: R1^(m+2n) R2^(2m-n)."""
+    return (m + 2 * n, 2 * m - n)
 
 
-def _row(x: list[int], sign: int, s: int, lo: int, hi: int) -> Iterator[list[int]]:
-    """x v^(sign (n - s)) for n = lo, ..., hi, climbed outward from x, the
-    point at n = s.  The points below s are kept until they are yielded;
-    the rest are one list multiplied in place, as in :func:`climb`."""
-    below = [y[:] for y in climb(x[:], _V, sign * (lo - s))]
-    yield from reversed(below[1:])
-    yield from climb(x, _V, sign * (hi - s))
+def _move(src: _Point, dst: _Point) -> list[Factor]:
+    """The factors that take the point src to dst, none at exponent 0."""
+    return [f for m, e in ((1, dst[0] - src[0]), (2, dst[1] - src[1])) if e
+            for f in rr_factors(m, e)]
+
+
+@cache
+def _walk_plan(m_min: int, m_max: int, n_min: int,
+               n_max: int) -> tuple[tuple[_Point, _Point, bool, bool], ...]:
+    """The moves (src, dst, take, keep) of :func:`pmn_series_grid`, in order:
+    take src when no later move reads it, keep dst when one does.  Each
+    chain (r, g, span, beside, mirror) climbs row r over span, hanging the
+    columns ``beside[r +- 1]``; g is the lowest row it serves."""
+    cols = range(n_min, n_max + 1)
+    chains = [(0, 0, range(min(n_min, -n_max), max(n_max, -n_min) + 1),
+               {1: cols, -1: range(-n_max, -n_min + 1)} if m_max else {}, False)
+              ] if m_min == 0 else []
+    for g in range(2 if m_min == 0 else m_min, m_max + 1, 3):
+        rows = range(g, min(g + 2, m_max) + 1)
+        chains.append((rows[len(rows) == 3], g, cols, dict.fromkeys(rows, cols), True))
+    moves: list[tuple[_Point, _Point]] = []
+
+    def add(src, dst):      # and its mirror, on a mirrored chain
+        moves.extend([(src, dst), ((-src[0], -src[1]), (-dst[0], -dst[1]))][:1 + mirror])
+
+    def hang(src, row, c):  # a point beside the chain, unless made already
+        if c in beside.get(row, ()) and _point(row, c) not in stops:
+            add(src, _point(row, c))
+
+    for r, g, span, beside, mirror in chains:
+        if not moves:       # from 1 through the cheapest point of row g (1 itself
+            # when g = 0, by a move of no factors that marks 1 as made)
+            s = min(span, key=lambda c: factor_cost(_move((0, 0), _point(g, c))))
+            stops = [(0, 0)] + [_point(row, s) for row in range(g, r + 1)]
+        else:               # by u-steps from the row below g
+            s, stops = n_min, [_point(row, n_min) for row in range(g - 1, r + 1)]
+        for src, dst in pairwise(stops):
+            add(src, dst)
+        for d, end in ((-1, span[0]), (1, span[-1])):
+            x = _point(r, s)
+            for c in range(s, end, d):      # v^d as R1^d, R2^-d, R1^d
+                h1, h2 = (x[0] + d, x[1]), (x[0] + d, x[1] - d)
+                add(x, h1)
+                hang(h1, r + d, c)
+                add(h1, h2)
+                hang(h2, r - d, c + d)
+                add(h2, x := _point(r, c + d))
+            hang(x, r + d, end)             # no hub there: u^d from the chain
+    plan, later = [], set()
+    for src, dst in reversed(moves):
+        plan.append((src, dst, src not in later, dst in later))
+        later.add(src)
+    return tuple(reversed(plan))
 
 
 def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
@@ -260,39 +307,42 @@ def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
     The two defining terms are t = q^m R1^(m+2n) R2^(2m-n) and its
     reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2).  As
     t = u^m v^n and 1/t = u^-m v^-n, the grid needs the lattice points
-    +-(m, n), each one step of six passes from a neighbour.  The walk
-    starts at the point of row m_min that the fewest passes reach from 1
-    (1 itself when m_min = 0 and the n range holds 0), climbs the axis
-    by u and u^-1 one row at a time, and climbs each row by v outward
-    from its axis point.  Row m = 0 through 1 is climbed once, over the
-    union of the n ranges of t and 1/t.  Only the current axis pair and
-    row pair are kept.
+    +-(m, n).  Every third row is a chain, climbed by v = R1^2/R2 as R1,
+    R2^-1, R1 through the hubs T R1 and T' R1^-1, and the rows beside it
+    hang from those hubs, one R2^+-2 move of four passes each in place of
+    a v-step of six.  Row 0 is climbed once and serves rows 1 and -1; the
+    rows above it (from m_min when m_min > 0) go in groups of three, each
+    served by its middle row (a shorter last group by its lowest), climbed
+    in step with its mirror.  A point streams out as soon as both of its
+    halves are built (:func:`_walk_plan`).
     """
     if m_min < 0:
         raise ValueError("m must be >= 0")
     _check_grid(m_min, m_max, n_min, n_max)
     if order <= m_max:
         raise ValueError(f"order must exceed m = {m_max} for the reciprocal term")
-    width = order + m_max        # 1/t(m, n) starts at q^-m
-    s = min(range(n_min, n_max + 1),
-            key=lambda n: sum(abs(e) for _, _, e in _direct_move(m_min, n)))
-    axes = []
-    for sign in (1, -1):
-        x = [1] + [0] * (width - 1)
-        apply_factors(x, _direct_move(sign * m_min, sign * s))
-        axes.append(climb(x, _U, sign * (m_max - m_min)))
-    for m, (t_axis, inv_axis) in enumerate(zip(*axes), m_min):
-        if (m, s) == (0, 0):
-            lo, hi = min(n_min, -n_max), max(n_max, -n_min)
-            row = [y[:] for y in _row(t_axis[:], 1, 0, lo, hi)]
-            pairs = ((row[n - lo], row[-n - lo]) for n in range(n_min, n_max + 1))
-        else:
-            pairs = zip(_row(t_axis[:], 1, s, n_min, n_max),
-                        _row(inv_axis[:], -1, s, n_min, n_max))
-        for n, (t, inv) in enumerate(pairs, n_min):
-            sign = 1 if (m + n) % 2 == 0 else -1
-            yield (PmnIndex(m, n), Series(-m, inv[:order + m], order)
-                   + Series(m, t[:order - m], order) * sign)
+    lists = {(0, 0): [1] + [0] * (order + m_max - 1)}   # 1/t(m, n) starts at q^-m
+    halves: dict[tuple[int, int, int], list[int]] = {}
+    ready: dict[tuple[int, int], Series] = {}
+    grid = ((m, n) for m in range(m_min, m_max + 1) for n in range(n_min, n_max + 1))
+    want = next(grid)
+    for src, dst, take, keep in _walk_plan(m_min, m_max, n_min, n_max):
+        x = lists.pop(src) if take else lists[src][:]
+        apply_factors(x, _move(src, dst))
+        if keep:
+            lists[dst] = x
+        for side in (1, -1):        # dst as t(m, n), then as 1/t(m, n)
+            a, b = side * dst[0], side * dst[1]
+            m, n = (a + 2 * b) // 5, (2 * a - b) // 5
+            if (a + 2 * b) % 5 == 0 and m_min <= m <= m_max and n_min <= n <= n_max:
+                halves[m, n, side] = x[:order - side * m]
+                if (m, n, -side) in halves:
+                    sign = 1 if (m + n) % 2 == 0 else -1
+                    ready[m, n] = (Series(-m, halves.pop((m, n, -1)), order)
+                                   + Series(m, halves.pop((m, n, 1)), order) * sign)
+        while want in ready:
+            yield PmnIndex(*want), ready.pop(want)
+            want = next(grid, None)
 
 
 def pmn_series(m: int, n: int, order: int) -> Series:

@@ -6,13 +6,14 @@ is built on it, coefficient for coefficient, with
 ``tests/oracles.py``, with a local copy of the dense route (powers of
 whole series and ``Series.invert``) that the passes replaced, and with a
 local copy of the unblocked per-coefficient kernel that the blocked one
-replaced, and with a local copy of the corner-first P(m,n) lattice walk
-that the centre-out one replaced.  Planned eta quotients are also
-compared with the plain route, |e| passes of f_m.
+replaced, and with local copies of the corner-first and the centre-out
+P(m,n) lattice walks that the hub walk replaced.  Planned eta quotients
+are also compared with the plain route, |e| passes of f_m.
 """
 
 import random
 from functools import cache
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,12 +21,12 @@ from hypothesis import strategies as st
 
 from crankq import etaq, kalgebra, series
 from crankq.errors import CrankqError
-from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, SeriesName,
+from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, Factor, SeriesName,
                          apply_factors, climb, eta_factors, eta_quotient,
                          eta_series, factor_cost, factor_product, named_series,
                          plan_quotient, rr_factors, rr_stretch, theta_terms)
-from crankq.kalgebra import (KPolynomial, eval_at_K, eval_at_K_many, pmn,
-                             pmn_series, pmn_series_grid,
+from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
+                             eval_at_K_many, pmn, pmn_series, pmn_series_grid,
                              verify_series_agreement)
 from crankq.report import first_mismatch
 from crankq.series import Series, sparse_pass
@@ -183,13 +184,77 @@ def test_theta_terms_of_f1_are_pentagonal():
 
 
 # ----------------------------------------------------------------------
+# the centre-out u/v walk that the hub walk replaced, kept verbatim as a
+# reference for values and for term-step counts
+
+_U = rr_factors(1, 1) + rr_factors(2, 2)    # u = q R1 R2^2, without its q
+_V = rr_factors(1, 2) + rr_factors(2, -1)   # v = R1^2 / R2
+
+
+def _direct_move(m: int, n: int) -> list[Factor]:
+    """The factors of u^m v^n = R1^(m+2n) R2^(2m-n), without its q^m."""
+    return rr_factors(1, m + 2 * n) + rr_factors(2, 2 * m - n)
+
+
+def _row(x: list[int], sign: int, s: int, lo: int, hi: int) -> Iterator[list[int]]:
+    """x v^(sign (n - s)) for n = lo, ..., hi, climbed outward from x, the
+    point at n = s.  The points below s are kept until they are yielded;
+    the rest are one list multiplied in place, as in :func:`climb`."""
+    below = [y[:] for y in climb(x[:], _V, sign * (lo - s))]
+    yield from reversed(below[1:])
+    yield from climb(x, _V, sign * (hi - s))
+
+
+def reference_centre_out_grid(m_min: int, m_max: int, n_min: int, n_max: int,
+                              order: int) -> Iterator[tuple[PmnIndex, Series]]:
+    """P(m, n) evaluated directly from the R-series on a grid, m-major.
+
+    The two defining terms are t = q^m R1^(m+2n) R2^(2m-n) and its
+    reciprocal, signed by (-1)^(m+n), with R1 = R(q), R2 = R(q^2).  As
+    t = u^m v^n and 1/t = u^-m v^-n, the grid needs the lattice points
+    +-(m, n), each one step of six passes from a neighbour.  The walk
+    starts at the point of row m_min that the fewest passes reach from 1
+    (1 itself when m_min = 0 and the n range holds 0), climbs the axis
+    by u and u^-1 one row at a time, and climbs each row by v outward
+    from its axis point.  Row m = 0 through 1 is climbed once, over the
+    union of the n ranges of t and 1/t.  Only the current axis pair and
+    row pair are kept.
+    """
+    if m_min < 0:
+        raise ValueError("m must be >= 0")
+    _check_grid(m_min, m_max, n_min, n_max)
+    if order <= m_max:
+        raise ValueError(f"order must exceed m = {m_max} for the reciprocal term")
+    width = order + m_max        # 1/t(m, n) starts at q^-m
+    s = min(range(n_min, n_max + 1),
+            key=lambda n: sum(abs(e) for _, _, e in _direct_move(m_min, n)))
+    axes = []
+    for sign in (1, -1):
+        x = [1] + [0] * (width - 1)
+        apply_factors(x, _direct_move(sign * m_min, sign * s))
+        axes.append(climb(x, _U, sign * (m_max - m_min)))
+    for m, (t_axis, inv_axis) in enumerate(zip(*axes), m_min):
+        if (m, s) == (0, 0):
+            lo, hi = min(n_min, -n_max), max(n_max, -n_min)
+            row = [y[:] for y in _row(t_axis[:], 1, 0, lo, hi)]
+            pairs = ((row[n - lo], row[-n - lo]) for n in range(n_min, n_max + 1))
+        else:
+            pairs = zip(_row(t_axis[:], 1, s, n_min, n_max),
+                        _row(inv_axis[:], -1, s, n_min, n_max))
+        for n, (t, inv) in enumerate(pairs, n_min):
+            sign = 1 if (m + n) % 2 == 0 else -1
+            yield (PmnIndex(m, n), Series(-m, inv[:order + m], order)
+                   + Series(m, t[:order - m], order) * sign)
+
+
+# ----------------------------------------------------------------------
 # factor lists applied in any order
 
 ORDERED_LISTS = {
     **{f"plan-{name.value}": plan_quotient(spec) for name, spec in NAMED_SPECS.items()},
     "rr-1": rr_factors(1), "rr-2-inverse": rr_factors(2, -1),
-    "lattice-u": kalgebra._U, "lattice-v": kalgebra._V,
-    "lattice-v-inverse": [(name, m, -e) for name, m, e in kalgebra._V],
+    "lattice-u": _U, "lattice-v": _V,
+    "lattice-v-inverse": [(name, m, -e) for name, m, e in _V],
 }
 
 
@@ -378,10 +443,10 @@ def reference_pmn_grid(m_min, m_max, n_min, n_max, order):
     for sign in (1, -1):
         x = [1] + [0] * (width - 1)
         apply_factors(x, [(name, m, sign * e) for name, m, e in corner])
-        firsts.append(climb(x, kalgebra._U, sign * (m_max - m_min)))
+        firsts.append(climb(x, _U, sign * (m_max - m_min)))
     for m, (t_first, inv_first) in enumerate(zip(*firsts), m_min):
-        row = zip(climb(t_first[:], kalgebra._V, n_max - n_min),
-                  climb(inv_first[:], kalgebra._V, n_min - n_max))
+        row = zip(climb(t_first[:], _V, n_max - n_min),
+                  climb(inv_first[:], _V, n_min - n_max))
         for n, (t, inv) in enumerate(row, n_min):
             sign = 1 if (m + n) % 2 == 0 else -1
             yield ((m, n), Series(-m, inv[:order + m], order)
@@ -406,26 +471,43 @@ def test_centre_out_grid_matches_reference_lattice(shape):
     assert got == list(reference_pmn_grid(*shape))
 
 
-def grid_passes(monkeypatch, grid):
-    """The sparse passes run while a grid streams out."""
-    passes = []
+def grid_pass_log(monkeypatch, grid):
+    """(|e|, |e| * terms) of each sparse pass run while a grid streams out:
+    its passes and its term-steps, a term-step being one term of a sparse
+    sum applied to one coefficient."""
+    log = []
 
     def counted(coeffs, terms, e=1, start=0):
-        passes.append(abs(e))
+        log.append((abs(e), abs(e) * len(terms)))
         sparse_pass(coeffs, terms, e, start)
 
     with monkeypatch.context() as patched:
         patched.setattr(etaq, "sparse_pass", counted)
         for _ in grid:
             pass
-    return sum(passes)
+    return log
 
 
-def test_default_grid_runs_372_passes(monkeypatch):
-    # 63 lattice points u^i v^j, |i| <= 4, |j| <= 3, reached from 1 by 62
-    # steps of six passes; the corner walk ran 444
+def grid_passes(monkeypatch, grid):
+    """The sparse passes run while a grid streams out."""
+    return sum(passes for passes, _ in grid_pass_log(monkeypatch, grid))
+
+
+def grid_term_steps(monkeypatch, grid):
+    """The term-steps (per coefficient) run while a grid streams out."""
+    return sum(steps for _, steps in grid_pass_log(monkeypatch, grid))
+
+
+def test_default_grid_runs_300_passes(monkeypatch):
+    # 63 lattice points u^i v^j, |i| <= 4, |j| <= 3: the centre-out walk
+    # reached them from 1 by 62 steps of six passes, 372 passes and 8064
+    # term-steps at order 400; the hub walk hangs rows +-1, +-2 and +-4
+    # from the hubs of rows 0 and +-3; the corner walk ran 444
     shape = (0, 4, -3, 3, 400)
-    assert grid_passes(monkeypatch, pmn_series_grid(*shape)) == 372
+    assert grid_passes(monkeypatch, pmn_series_grid(*shape)) == 300
+    assert grid_term_steps(monkeypatch, pmn_series_grid(*shape)) == 5760
+    assert grid_passes(monkeypatch, reference_centre_out_grid(*shape)) == 372
+    assert grid_term_steps(monkeypatch, reference_centre_out_grid(*shape)) == 8064
     assert grid_passes(monkeypatch, reference_pmn_grid(*shape)) == 444
 
 
@@ -441,6 +523,27 @@ def test_grid_runs_no_more_passes_than_reference(m_min, m_max, n_min, n_max,
     shape = (m_min, m_max, n_min, n_max, 60)
     assert (grid_passes(monkeypatch, pmn_series_grid(*shape))
             <= grid_passes(monkeypatch, reference_pmn_grid(*shape)))
+
+
+@pytest.mark.parametrize("m_min, m_max, n_min, n_max", [
+    # the shapes of test_grid_runs_no_more_passes_than_reference
+    (0, 0, -3, 3), (0, 3, 1, 4), (0, 3, -4, -1), (2, 4, -1, 1), (3, 3, 2, 2),
+    (0, 0, 0, 0), (0, 0, -3, -3), (1, 1, 2, 2), (2, 2, -1, -1), (4, 4, -3, -3),
+    (5, 5, 0, 0),
+    # the pmn-eval grid, by default and with --n-max 5
+    (0, 4, -3, 3), (0, 4, -3, 5),
+    # a column and a strip of rows away from 0, where the first chain is
+    # built from its factors
+    (3, 9, -3, -3), (4, 10, -2, -2), (1, 7, 1, 3),
+])
+def test_grid_runs_no_more_term_steps_than_centre_out(m_min, m_max, n_min, n_max,
+                                                      monkeypatch):
+    shape = (m_min, m_max, n_min, n_max, 60)
+    log = grid_pass_log(monkeypatch, pmn_series_grid(*shape))
+    assert all(passes for passes, _ in log)     # no pass at exponent 0
+    assert (sum(steps for _, steps in log)
+            <= grid_term_steps(monkeypatch, reference_centre_out_grid(*shape)))
+    assert list(pmn_series_grid(*shape)) == list(reference_centre_out_grid(*shape))
 
 
 def test_grid_witness_is_first_failure_in_m_major_order(monkeypatch):
