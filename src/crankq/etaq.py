@@ -24,7 +24,9 @@ the congruence proofs.  It and :func:`rr_series` share one cache.  Each
 entry keeps its Series and the pass lists that a higher order reads, so
 a request above the cached order resumes every pass where it stopped
 and computes only the new coefficients: an ascending run of requests
-costs about one build at its top order.  f is the exactly divided
+costs about one build at its top order.  Every product, cached or not,
+lays out the unit list times its first two multiplies sparse by sparse,
+with no pass and nothing kept.  f is the exactly divided
 C(5j+4) column, read from C's entry, times psi(q).
 """
 
@@ -421,9 +423,11 @@ class _Product:
     reads its input stage in full, and a divide reads its input's new
     entries and its own output.  So a stage's output is kept when it
     divides or feeds a multiply.  It is not kept when the cached Series
-    holds it (the last stage), or when it can be rebuilt in O(n): the
-    source, and a first multiply of the unit source, which is the sparse
-    sum itself.
+    holds it (the last stage), or when it can be rebuilt cheaply: the
+    source, and the first two multiplies of the unit source.  Those are
+    laid out sparse by sparse, the terms of the first sum (and 1) times
+    the terms of the second, with no pass: O(t0 t1) steps for sums of t0
+    and t1 terms, in place of a pass of t1 n.
     """
 
     def __init__(self, factors: Iterable[Factor], shift: int = 0,
@@ -435,7 +439,7 @@ class _Product:
         self.source = source        # n -> first n coefficients; None is 1
         signs = [sign for _, _, sign in self.stages]
         self.keep = [i + 1 < len(signs) and (sign < 0 or (
-            signs[i + 1] > 0 and (i > 0 or source is not None)))
+            signs[i + 1] > 0 and (i > 1 or source is not None)))
             for i, sign in enumerate(signs)]
         self.kept: list[Optional[list[int]]] = [None] * len(self.stages)
         self.series: Optional[Series] = None
@@ -459,6 +463,7 @@ class _Product:
         final, kept = self.series, list(self.kept)
         n0 = 0 if final is None else final.order - self.shift
         prev = [1] + [0] * (n - 1) if self.source is None else self.source(n)
+        support = ((0, 1),)         # the (k, c) of prev while it is laid out
         for i, (name, m, sign) in enumerate(self.stages):
             terms = _stretched_terms(SUMS[name][1], m, n)
             last = i + 1 == len(self.stages)
@@ -471,10 +476,14 @@ class _Product:
             if sign < 0:
                 cur = old + prev[n0:]
                 sparse_pass(cur, terms, -1, n0)
-            elif i == 0 and self.source is None:
-                cur = prev                  # the sparse sum itself
-                for k, c in terms:
-                    cur[k] += c
+            elif i < 2 and self.source is None:
+                cur = prev                  # one or two sparse sums, term by term
+                for j, b in support:
+                    for k, c in terms:
+                        if j + k >= n:
+                            break
+                        cur[j + k] += b * c
+                support += terms
             else:
                 cur = prev[:] if i and self.keep[i - 1] else prev
                 sparse_pass(cur, terms, 1, n0)

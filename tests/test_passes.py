@@ -12,7 +12,7 @@ are also compared with the plain route, |e| passes of f_m.
 """
 
 import random
-from functools import cache
+from functools import cache, partial
 from typing import Iterator
 
 import pytest
@@ -720,12 +720,28 @@ def naive_factor_product(factors, n):
     return out
 
 
+# Boundary cases of the multiply pair that factor_product and the cache
+# lay out sparse by sparse: one sum twice, as in d (squares(1)^2); two
+# weighted sums; eta(1)^2 below q^7, whose pair terms 1 + 5 and 2 + 5 land
+# on n - 1 and on n; a pair followed by a multiply and by a divide.
+SQUARED = [("squares", 1, 2)]
+WEIGHTED_PAIR = [("jacobi", 1, 1), ("squares", 2, 1)]
+EDGE_PAIR = [("eta", 1, 2)]
+PAIR_THEN_MULTIPLY = [("squares", 1, 2), ("eta", 2, 1)]
+PAIR_THEN_DIVIDE = [("jacobi", 1, 1), ("eta", 2, 1), ("squares", 2, -1)]
+
+
 @given(factor_list(), st.integers(-3, 3), st.integers(1, 150))
 @example([], 2, 5)
+@example(SQUARED, 0, 150)
+@example(WEIGHTED_PAIR, -1, 150)
+@example(EDGE_PAIR, 0, 7)
+@example(PAIR_THEN_MULTIPLY, 0, 65)
+@example(PAIR_THEN_DIVIDE, -3, 64)
 @DIFF
 def test_one_shot_product_matches_naive_product(factors, shift, width):
-    # factor_product lays out a first multiply of the unit list in O(n)
-    # rather than by a pass
+    # factor_product lays out the first two multiplies of the unit list
+    # sparse by sparse rather than by passes
     order = shift + width
     want = Series(shift, naive_factor_product(factors, width), order)
     assert factor_product(factors, order, shift) == want
@@ -739,8 +755,24 @@ def reference_product(factors, n):
     return out
 
 
+class Draws:
+    """Stands in for ``st.data()`` in an explicit example: hands out the
+    given values in turn, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @given(factor_list(), factor_list(), st.integers(-3, 3), ascending_orders(),
        ascending_orders(), st.data())
+@example(SQUARED, WEIGHTED_PAIR, 0, [3, 64, 65, 200], [63, 64, 65],
+         Draws(64, 1))
+@example(EDGE_PAIR, EDGE_PAIR, 2, [5, 6, 7, 64, 65], [6, 7, 8], Draws(8, 7))
+@example(PAIR_THEN_MULTIPLY, PAIR_THEN_DIVIDE, -1, [64, 65, 66],
+         [1, 64, 65, 330], Draws(64, 65))
 @DIFF
 def test_extended_products_match_one_shot_builds(first, second, shift, up1, up2,
                                                  data):
@@ -776,3 +808,36 @@ def test_extended_f_matches_one_shot_build(orders, monkeypatch):
         coeffs = [0] * column.valuation + list(column.coeffs)
         apply_factors(coeffs, [("triangular", 1, 1)])
         assert named_series("f", order) == Series(0, coeffs, order)
+
+
+# (sparse passes per build, lists kept) of each named series: the first
+# two multiplies of the unit list are laid out sparse by sparse, so h runs
+# no pass, and a stage keeps its list only if it divides or feeds a
+# multiply after that pair
+NAMED_PASSES = {"p": (1, 0), "C": (2, 1), "a": (1, 0), "d": (2, 1), "h": (0, 0),
+                "K": (2, 1), "A": (2, 0), "R": (1, 0)}
+
+
+@pytest.mark.parametrize("key", NAMED_PASSES)
+def test_named_builds_run_fixed_passes_and_keep_fixed_lists(key, monkeypatch):
+    passes, kept = NAMED_PASSES[key]
+    calls = []
+
+    def counted(coeffs, terms, e=1, start=0):
+        calls.append(e)
+        sparse_pass(coeffs, terms, e, start)
+
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    monkeypatch.setattr(etaq, "sparse_pass", counted)
+    build = etaq.rr_series if key == "R" else partial(named_series, key)
+    for order in (1, 30, 64, 65, 130, 700):     # fresh, then extended
+        calls.clear()
+        build(order)
+        assert len(calls) == passes and all(e in (1, -1) for e in calls)
+        entry = etaq._CACHE["R" if key == "R" else etaq.resolve_name(key)]
+        lists = [coeffs for coeffs in entry.kept if coeffs is not None]
+        assert len(lists) == kept
+        assert all(len(coeffs) == order - entry.shift for coeffs in lists)
+    calls.clear()
+    build(300)                                  # a lower request is a hit
+    assert calls == []
