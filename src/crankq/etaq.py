@@ -12,8 +12,11 @@ and a negative power divides.
 Six of the sums are eta quotients on a level pair, f_m^a f_2m^b: f_m
 itself, Jacobi's cube f_m^3, psi, phi(-q) and the two weighted sums of
 :class:`~crankq.theta.ThetaKind`.  :func:`plan_quotient` rewrites each
-eta quotient into the cheapest product of them, counted in term-steps
-(:func:`factor_cost`), and :func:`eta_quotient` builds that product.
+eta quotient into the cheapest product of them: each pass priced by its
+terms and its kernel path (unit or weighted row, multiply or divide),
+and the two dearest multiplies free, since they come first and
+:class:`_Product` lays them out with no pass.  :func:`eta_quotient`
+builds that product.
 :func:`eta_factors` is the plain route, |e_m| passes of f_m, kept as the
 reference side of the identity checks.
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import combinations_with_replacement
-from math import sqrt
+from math import inf, sqrt
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .report import CheckReport, first_mismatch
@@ -217,12 +220,21 @@ def rr_factors(m: int, e: int = 1) -> list[Factor]:
 # Term counts are taken below this order.  Every count grows as
 # sqrt(N / m), so the ranking of plans is the same at every order N.
 _COST_ORDER = 1 << 12
-# Pair rows (those touching f_2m) used per level, counting passes.  Up to
-# four saves at most 0.5 % (on d) for the quotients the package builds.
+# ns per term-step of one pass at N = 4000, by kernel path (the README's
+# pass table): weighted row (some term not +-1) -> (multiply, divide).
+_PRICES = {False: (36, 42), True: (61, 71)}
+# A sum at q -> q^2m has 1/sqrt(2) of the terms it has at q -> q^m.
+_STEP_UP = 1 / sqrt(2)
+# Pair rows (those touching f_2m) used per level, counting passes.  Three
+# or four change no plan of a named series.
 _PAIR_PASSES = 2
 _PAIR_ROWS = [name for name, (exps, _) in SUMS.items() if exps and exps[1]]
 
-_Key = tuple[int, int]   # (term count, divide passes), compared in that order
+# (price, total): the price of a plan's passes less its two dearest
+# multiplies, which _Product lays out with no pass, then the price of all
+# of them.  So ties go to the plan that is cheaper when every pass runs,
+# as in a climb.
+_Key = tuple[float, float]
 
 
 @cache
@@ -236,93 +248,161 @@ def factor_cost(factors: Iterable[Factor]) -> float:
     return sum(abs(e) * _term_count(name) / sqrt(m) for name, m, e in factors)
 
 
-def _key(exps: Mapping[str, int]) -> _Key:
-    return (sum(abs(e) * _term_count(name) for name, e in exps.items()),
-            sum(-e for e in exps.values() if e < 0))
+@cache
+def _prices(name: str) -> tuple[int, ...]:
+    """(multiply, divide): the price of one pass of a sum at q -> q^1, its
+    terms below 2^12 times the price of a term-step on its kernel path."""
+    terms = SUMS[name][1](_COST_ORDER)
+    weighted = any(abs(c) != 1 for _, c in terms)
+    return tuple(len(terms) * price for price in _PRICES[weighted])
+
+
+def _price(name: str, e: int) -> int:
+    return _prices(name)[e < 0]
 
 
 @cache
-def _pair_moves() -> dict[int, dict[int, tuple[_Key, dict[str, int]]]]:
-    """b -> {a: (key, exps)}: the cheapest products of at most
-    ``_PAIR_PASSES`` pair rows at one level that equal f_m^a f_2m^b."""
+def _pair_moves() -> dict[int, list[tuple[int, dict[str, int], int, int, int]]]:
+    """a -> [(b, exps, price, d1, d2)]: each product of at most
+    ``_PAIR_PASSES`` pair-row passes at one level, none undoing another,
+    that equals f_m^a f_2m^b; d1 >= d2 are the prices of its two dearest
+    multiply passes (0 for none)."""
     signed = [(name, sign) for name in _PAIR_ROWS for sign in (1, -1)]
-    moves: dict[int, dict[int, tuple[_Key, dict[str, int]]]] = {}
+    moves: dict[int, list] = {}
     for passes in range(_PAIR_PASSES + 1):
         for picks in combinations_with_replacement(signed, passes):
             exps: dict[str, int] = {}
             for name, sign in picks:
                 exps[name] = exps.get(name, 0) + sign
+            if len(picks) != sum(map(abs, exps.values())):
+                continue
             a = sum(e * SUMS[name][0][0] for name, e in exps.items())
             b = sum(e * SUMS[name][0][1] for name, e in exps.items())
-            row = moves.setdefault(b, {})
-            if a not in row or _key(exps) < row[a][0]:
-                row[a] = (_key(exps), exps)
+            muls = sorted((_price(name, 1) for name, sign in picks if sign > 0), reverse=True)
+            moves.setdefault(a, []).append(
+                (b, exps, sum(_price(name, sign) for name, sign in picks), *(muls + [0, 0])[:2]))
     return moves
 
 
 @cache
-def _covers(r: int) -> list[tuple[_Key, int, dict[str, int]]]:
-    """The cheapest way to give f_m^r at one level for each exponent b it
-    leaves on f_2m, cheapest first: (key, b, exponents of the sums at m).
-    Jacobi's cube and f make up what the pair rows leave: r - a = 3t + s."""
+def _make_up(n: int) -> list[tuple[int, int, int, int, int]]:
+    """[(t, s, price, u1, u2)]: Jacobi's cube and f at one level, f_m^n as
+    jacobi^t f_m^s with n = 3t + s; u1 >= u2 are the prices of their two
+    dearest multiply passes.  The cube costs less per power of f_m than f
+    does on every kernel path, so t is n // 3, or one more when 3 does not
+    divide n."""
     step = SUMS["jacobi"][0][0]
-    cube, eta = _term_count("jacobi"), _term_count("eta")
-    found = []
-    for b, row in _pair_moves().items():
-        best = None
-        for a, ((count, divides), pair) in row.items():
-            for t in dict.fromkeys((0, (r - a) // step, (r - a) // step + 1)):
-                s = r - a - step * t
-                key = (count + abs(t) * cube + abs(s) * eta,
-                       divides + max(-t, 0) + max(-s, 0))
-                if best is None or key < best[0]:
-                    best = (key, {**pair, "jacobi": t, "eta": s})
-        found.append((best[0], b, best[1]))
-    return sorted(found, key=lambda option: option[:2])
+    cube = (_price("jacobi", 1), _price("jacobi", -1))
+    eta = (_price("eta", 1), _price("eta", -1))
+    q, s = divmod(n, step)
+    options = []
+    for t, s in ((q, s), (q + 1, s - step)) if s else ((q, 0),):
+        muls = sorted((cube[0] * (t > 0), cube[0] * (t > 1), eta[0] * (s > 0), eta[0] * (s > 1)))
+        options.append((t, s, abs(t) * cube[t < 0] + abs(s) * eta[s < 0], muls[3], muls[2]))
+    return options
 
 
-def _plan_chain(exponents: Mapping[int, int]) -> list[Factor]:
-    """Cheapest factors for prod f_m^e over levels m of one odd part.
+@cache
+def _covers(r: int) -> list[list[tuple[float, int, list]]]:
+    """The cheapest passes at one level that give f_m^r, priced at m = 1.
 
-    The chain runs m, 2m, 4m, ... from the lowest level to twice the
-    highest.  Each level passes its f_2m exponent b to the next, and the
-    last one passes nothing.  A level's term count is divided by sqrt(m).
+    For each b they leave on f_2m, a row of (price, total, level) with 0,
+    1 and 2 of their dearest multiply passes free: the pair rows, then
+    :func:`_make_up` for the rest.  A level is (pair exps, t, s).  Listed
+    for each number of free passes f as (price of the row at f, b, row),
+    cheapest first.
     """
-    levels = [min(exponents)]
-    while levels[-1] <= max(exponents):
-        levels.append(2 * levels[-1])
+    rows = {move[0]: [(inf, inf, None)] * 3 for moves in _pair_moves().values()
+            for move in moves}
+    for a, moves in _pair_moves().items():
+        for t, s, made, u1, u2 in _make_up(r - a):
+            for b, pair, price, d1, d2 in moves:
+                total = price + made
+                # the price of the dearest multiply, and of the two dearest,
+                # of the pair rows and the make-up together
+                if d1 >= u1:
+                    one, two = d1, d1 + (d2 if d2 > u1 else u1)
+                else:
+                    one, two = u1, u1 + (d1 if d1 > u2 else u2)
+                # unrolled over 0, 1 and 2 free passes: this is most of the
+                # planner's time
+                row = rows[b]
+                if total < row[0][0]:
+                    row[0] = (total, total, (pair, t, s))
+                if total - one < row[1][0] or total - one == row[1][0] and total < row[1][1]:
+                    row[1] = (total - one, total, (pair, t, s))
+                if total - two < row[2][0] or total - two == row[2][0] and total < row[2][1]:
+                    row[2] = (total - two, total, (pair, t, s))
+    return [sorted((row[f][0], b, row) for b, row in rows.items()) for f in range(3)]
 
-    @cache
-    def best(i: int, carry: int) -> tuple[tuple[float, int], tuple]:
-        m, last = levels[i], i + 1 == len(levels)
-        found = None
-        for (count, divides), b, exps in _covers(exponents.get(m, 0) - carry):
-            cost = round(count / sqrt(m), 9)
-            if found is not None and cost > found[0][0]:
-                break           # the rest of the chain costs >= 0
-            if last and b:
-                continue
-            rest_key, rest = ((0.0, 0), ()) if last else best(i + 1, b)
-            key = (round(cost + rest_key[0], 9), divides + rest_key[1])
+
+@cache
+def _chain(r: int, tail: tuple[int, ...], free: int) -> tuple[_Key, tuple]:
+    """The cheapest levels for the chain f_1^r f_2^tail[0] f_4^tail[1] ...,
+    with ``free`` multiply passes free, priced at m = 1: (key, one level
+    per chain level).
+
+    Each level passes its f_2m exponent b to the next, and the last one
+    passes nothing.  A level's prices are divided by sqrt(2) per step up
+    the chain.
+    """
+    found = None
+    for price, b, row in _covers(r)[free]:
+        if b and not tail:
+            continue
+        if found is not None and price > found[0][0]:
+            break               # the rest of the chain costs >= 0
+        for k in range(free + 1):
+            if k and row[k][0] == row[k - 1][0]:
+                break           # no multiply left to free here
+            price, total, level = row[k]
+            (rest_price, rest_total), rest = (
+                _chain(tail[0] - b, tail[1:], free - k) if tail else ((0.0, 0.0), ()))
+            key = (price + rest_price * _STEP_UP, total + rest_total * _STEP_UP)
             if found is None or key < found[0]:
-                found = (key, ((m, exps),) + rest)
-        return found
-
-    return [(name, m, e) for m, exps in best(0, 0)[1]
-            for name in SUMS if (e := exps.get(name))]
+                found = (key, (level,) + rest)
+    return found
 
 
 @cache
 def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
-    """The cheapest factors for an eta quotient, without its shift.
+    """The cheapest factors for an eta quotient, without its shift, in the
+    order :class:`_Product` runs them.
 
-    Levels split into chains by odd part, and each chain is planned on its
-    own (see :func:`_plan_chain`); ties in term-steps go to fewer divides.
+    A plan costs the passes it runs: each pass's terms at q^m times the
+    price of a term-step on its kernel path (``_PRICES``), less its two
+    dearest multiply passes.  Those lead the plan, so that
+    :class:`_Product` lays them out with no pass.  Levels split into
+    chains m, 2m, 4m, ... of one odd part, from the lowest level to twice
+    the highest.  Each chain is planned on its own (:func:`_chain`), and
+    the chains share the two free passes.
     """
-    chains: dict[int, dict[int, int]] = {}
+    by_odd: dict[int, dict[int, int]] = {}
     for m, e in spec.factors:
-        chains.setdefault(m // (m & -m), {})[m] = e
-    return tuple(f for odd in sorted(chains) for f in _plan_chain(chains[odd]))
+        by_odd.setdefault(m // (m & -m), {})[m] = e
+    chains = []
+    for _, exps in sorted(by_odd.items()):
+        low = min(exps)
+        chains.append((low, [exps.get(low << j, 0)
+                             for j in range((max(exps) // low).bit_length() + 1)]))
+
+    def share(i: int, free: int) -> tuple[_Key, tuple]:
+        if i == len(chains):
+            return (0.0, 0.0), ()
+        low, exps = chains[i]
+        found = None
+        # the last chain takes every free pass left: more never costs more
+        for k in range(free + 1) if i + 1 < len(chains) else (free,):
+            (price, total), levels = _chain(exps[0], tuple(exps[1:]), k)
+            (rest_price, rest_total), rest = share(i + 1, free - k)
+            key = (price / sqrt(low) + rest_price, total / sqrt(low) + rest_total)
+            if found is None or key < found[0]:
+                found = (key, tuple((low << j, level) for j, level in enumerate(levels)) + rest)
+        return found
+
+    factors = [(name, m, e) for m, (pair, t, s) in share(0, 2)[1]
+               for name, e in {**pair, "jacobi": t, "eta": s}.items() if e]
+    return tuple(sorted(factors, key=lambda f: (f[2] < 0, -_price(f[0], f[2]) / sqrt(f[1]))))
 
 
 def _multiplies_first(factors: Iterable[Factor]) -> list[Factor]:
@@ -427,7 +507,9 @@ class _Product:
     source, and the first two multiplies of the unit source.  Those are
     laid out sparse by sparse, the terms of the first sum (and 1) times
     the terms of the second, with no pass: O(t0 t1) steps for sums of t0
-    and t1 terms, in place of a pass of t1 n.
+    and t1 terms, in place of a pass of t1 n.  A plan from
+    :func:`plan_quotient` lists its two dearest multiplies first, so
+    those are the two laid out.
     """
 
     def __init__(self, factors: Iterable[Factor], shift: int = 0,

@@ -13,6 +13,7 @@ are also compared with the plain route, |e| passes of f_m.
 
 import random
 from functools import cache, partial
+from math import sqrt
 from typing import Iterator
 
 import pytest
@@ -23,7 +24,7 @@ from crankq import etaq, kalgebra, series
 from crankq.errors import CrankqError
 from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, Factor, SeriesName,
                          apply_factors, climb, eta_factors, eta_quotient,
-                         eta_series, factor_cost, factor_product, named_series,
+                         eta_series, factor_product, named_series,
                          plan_quotient, rr_factors, rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
                              eval_at_K_many, pmn, pmn_series, pmn_series_grid,
@@ -31,6 +32,7 @@ from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
 from crankq.report import first_mismatch
 from crankq.series import Series, sparse_pass
 from crankq.tasks import run_task
+from crankq.theta import ThetaKind
 
 from oracles import (RR_TERMS, naive_euler, naive_inv, naive_mul, naive_pow,
                      naive_residue_product)
@@ -587,6 +589,15 @@ def naive_quotient(exponents, n):
     return naive_mul(num, naive_inv(den, n), n) if any(den[1:]) else num
 
 
+def planner_price(factors):
+    """What plan_quotient minimises: the price of every pass at q^m, less
+    the two dearest multiply passes, which _Product lays out with no pass."""
+    passes = [(etaq._price(name, e) / sqrt(m), e > 0)
+              for name, m, e in factors for _ in range(abs(e))]
+    dearest = sorted((price for price, multiply in passes if multiply), reverse=True)
+    return sum(price for price, _ in passes) - sum(dearest[:2])
+
+
 def check_three_routes(spec, order):
     planned = eta_quotient(spec, order)
     plain = factor_product(eta_factors(spec), order, spec.shift)
@@ -594,7 +605,13 @@ def check_three_routes(spec, order):
     width = order - spec.shift
     assert ([planned.coeff(spec.shift + i) for i in range(width)]
             == naive_quotient(dict(spec.factors), width))
-    assert factor_cost(plan_quotient(spec)) <= factor_cost(eta_factors(spec)) + 1e-9
+    # the planner searches the plain route, or at each level a make-up of
+    # f_m's power that costs no more
+    plan = plan_quotient(spec)
+    assert planner_price(plan) <= planner_price(eta_factors(spec)) + 1e-6
+    # and the plan leads with its two dearest multiplies, which _Product lays out
+    multiplies = [etaq._price(name, 1) / sqrt(m) for name, m, e in plan for _ in range(e)]
+    assert multiplies[:2] == sorted(multiplies, reverse=True)[:2]
 
 
 @given(st.dictionaries(st.sampled_from([1, 2, 4, 5, 10]),
@@ -640,18 +657,20 @@ def test_each_sum_equals_its_eta_quotient(name, m):
 
 
 def test_identity_checks_do_not_build_through_the_plan(monkeypatch):
-    # corrupt the q^1 coefficient of the cubic sum, which K's plan uses:
-    # theta-cubic, k33 and k34 compare against the plain route, so each
-    # must now fail
-    assert "cubic" in {name for name, _, _ in plan_quotient(NAMED_SPECS[SeriesName.K_PARAM])}
-    exps, terms = SUMS["cubic"]
+    # corrupt the q^1 coefficient of a ThetaKind row that K's plan uses
+    # (triangular): theta-<row>, k33 and k34 compare against the plain
+    # route, so each must now fail
+    used = {name for name, _, _ in plan_quotient(NAMED_SPECS[SeriesName.K_PARAM])}
+    row = next(kind.value for kind in ThetaKind if kind.value in used)
+    assert row != ThetaKind.SQUARES.value
+    exps, terms = SUMS[row]
 
     def corrupted(order):
         return [(k, c + (k == 1)) for k, c in terms(order)]
 
-    monkeypatch.setitem(SUMS, "cubic", (exps, corrupted))
+    monkeypatch.setitem(SUMS, row, (exps, corrupted))
     monkeypatch.setattr(etaq, "_CACHE", {})
-    for tid in ("theta-cubic", "k33", "k34"):
+    for tid in (f"theta-{row}", "k33", "k34"):
         assert not run_task(tid).passed, tid
     assert run_task("theta-squares").passed
 
@@ -811,10 +830,10 @@ def test_extended_f_matches_one_shot_build(orders, monkeypatch):
 
 
 # (sparse passes per build, lists kept) of each named series: the first
-# two multiplies of the unit list are laid out sparse by sparse, so h runs
-# no pass, and a stage keeps its list only if it divides or feeds a
-# multiply after that pair
-NAMED_PASSES = {"p": (1, 0), "C": (2, 1), "a": (1, 0), "d": (2, 1), "h": (0, 0),
+# two multiplies of the unit list, the plan's two dearest, are laid out
+# sparse by sparse, so h runs no pass and C only its divide, and a stage
+# keeps its list only if it divides or feeds a multiply after that pair
+NAMED_PASSES = {"p": (1, 0), "C": (1, 0), "a": (1, 0), "d": (2, 1), "h": (0, 0),
                 "K": (2, 1), "A": (2, 0), "R": (1, 0)}
 
 
