@@ -452,18 +452,21 @@ def power_sums(sums: Iterable[Iterable[tuple[int, int, int]]],
     product of ``factors``; yielded one at a time, in the order given.
 
     The powers of X that any sum needs are climbed once, outward from
-    X^0 = 1, and shared by every sum.
+    X^0 = 1, and shared by every sum.  The first step out of 1, X or 1/X,
+    is built by :func:`factor_product`, which lays out its leading
+    multiplies; the later steps are climbed.
     """
     sums = [[t for t in terms if t[0] < order] for terms in sums]
     powers = {p for terms in sums for _, _, p in terms}
     low = min((s for terms in sums for s, _, _ in terms), default=0)
-    ladder = {}
-    for top in (max(powers, default=0), min(powers, default=0)):
-        x = [1] + [0] * (order - low - 1)
-        for k, xk in enumerate(climb(x, factors, top)):
-            p = k if top >= 0 else -k
-            if p in powers:
-                ladder[p] = xk[:]
+    n = order - low
+    ladder = {0: [1] + [0] * (n - 1)}
+    for top in {max(powers, default=0), min(powers, default=0)} - {0}:
+        sign = 1 if top > 0 else -1
+        first = factor_product([(name, m, sign * e) for name, m, e in factors], n)
+        for k, xk in enumerate(climb(list(first.coeffs), factors, top - sign), 1):
+            if sign * k in powers:
+                ladder[sign * k] = xk[:]
     for terms in sums:
         out = [0] * (order - low)
         for s, c, p in terms:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CrankqError
 from .etaq import (NAMED_SPECS, Factor, SeriesName, apply_factors, factor_cost,
-                   plan_quotient, power_sums, rr_factors)
+                   factor_product, plan_quotient, power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -321,14 +321,18 @@ def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
     _check_grid(m_min, m_max, n_min, n_max)
     if order <= m_max:
         raise ValueError(f"order must exceed m = {m_max} for the reciprocal term")
-    lists = {(0, 0): [1] + [0] * (order + m_max - 1)}   # 1/t(m, n) starts at q^-m
+    width = order + m_max           # 1/t(m, n) starts at q^-m
+    lists: dict[_Point, list[int]] = {}
     halves: dict[tuple[int, int, int], list[int]] = {}
     ready: dict[tuple[int, int], Series] = {}
     grid = ((m, n) for m in range(m_min, m_max + 1) for n in range(n_min, n_max + 1))
     want = next(grid)
     for src, dst, take, keep in _walk_plan(m_min, m_max, n_min, n_max):
-        x = lists.pop(src) if take else lists[src][:]
-        apply_factors(x, _move(src, dst))
+        if src == (0, 0):   # out of 1: _Product lays out the leading multiplies
+            x = list(factor_product(_move(src, dst), width).coeffs)
+        else:
+            x = lists.pop(src) if take else lists[src][:]
+            apply_factors(x, _move(src, dst))
         if keep:
             lists[dst] = x
         for side in (1, -1):        # dst as t(m, n), then as 1/t(m, n)
@@ -421,7 +425,12 @@ def combo_sides() -> tuple[KPolynomial, KPolynomial]:
 
 
 def verify_combo_identity(order: int = 100) -> CheckReport:
-    """The P-combination identity, symbolically and as q-series.
+    """The P-combination identity, as Laurent polynomials in K.
+
+    Sides that are one polynomial are one q-series too, so they are not
+    also compared as q-series; ``pmn-eval`` checks each P(m, n) that the
+    combination reads against the direct R-series evaluation.  ``order``
+    is only reported.
 
     Also covers the two micro-identities used alongside it:
     1 + P(0,-1) = (K-4)/K and 1 - 2P(0,-1) - 2P(1,0) = 1 + 8K^-1 - 2K,
@@ -431,9 +440,6 @@ def verify_combo_identity(order: int = 100) -> CheckReport:
     lhs, rhs = combo_sides()
     if lhs != rhs:
         failures.append({"check": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
-    diff = first_mismatch(*eval_at_K_many([lhs, rhs], order))
-    if diff:
-        failures.append({"check": "series", "exponent": diff["exponent"]})
     micro1_lhs = 1 + pmn(0, -1)
     micro1_rhs = (K - 4) * KPolynomial.monomial(1, -1)
     if micro1_lhs != micro1_rhs:

@@ -26,8 +26,10 @@ a dense coefficient list, in place, by a sparse unit series
 sequence of such passes, and :meth:`Series.invert` is one divide pass.
 Terms with coefficient +-1 (all of f_m, psi and both halves of R(q)) run
 as C-level ``map`` slices, except the unit terms of a divide below
-:data:`_BLOCK`; those and the weighted terms cost one bytecode step
-each per coefficient.
+:data:`_BLOCK` = 256; those and the weighted terms cost one bytecode
+step each per coefficient.  A divide pushes its far unit terms once per
+finished block of their octave, 256, 512, 1024, ... entries: a smaller
+block costs more in slices than the scalar loop it bypasses.
 A pass can resume on a longer list where it stopped (``start``), which
 is how the cached series of :mod:`crankq.etaq` grow to a higher order
 without recomputing their prefix.
@@ -50,11 +52,13 @@ def _nnz(coeffs: tuple[int, ...]) -> int:
 # The smallest octave of a divide pass.  A unit term with k >= _BLOCK
 # reaches only later blocks, so each finished block of its octave is pushed
 # into them by one C-level map.  Smaller blocks pay more slices, larger ones
-# keep more terms in the Python loop.  With the sign-split loop, unit
-# divides (eta, rr-den) at N = 404, 2000 and 10000 against 64: 32 took
-# +7 to +15 %, +4 to +8 % and -1 to +3 %; 128 took -5 to -9 %, -1 to -3 %
-# and -1 to +3 %.  Neither is fastest at all three, so 64 stays.
-_BLOCK = 64
+# keep more terms in the Python loop.  Pushing a 64- or 128-entry block
+# costs more than the sign-split loop it bypasses: on C's f_2 divide and on
+# rr-den, 256 against 64 took 0.91x the time at N = 404, 0.93-0.95x at
+# 2004 and 4004, 0.84-0.96x at 10015 and 1.02x at 30000 (interleaved
+# process-time medians).  Dropping the pushes altogether took 1.09-1.21x
+# the time at N = 30000 and 1.19-1.32x at 75015, so they stay from 256 up.
+_BLOCK = 256
 
 
 def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],

@@ -67,7 +67,7 @@ def _check_thm11(alpha: Optional[int] = None, n_max: Optional[int] = None,
 
 def _check_thm12(order: int = 300) -> CheckReport:
     """Exact identity: the C(5n+4) column equals its eta quotient."""
-    params = {"identity": "C(5n+4) = 5*f1^2*f5*f10^2/f2^4"}
+    params = {"identity": IDENTITIES["thm12"].statement()}
     return CheckReport.from_failures("thm12", params, order,
                                      [IDENTITIES["thm12"].mismatch(order)])
 
@@ -238,9 +238,9 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
                         CongruenceFamily(SeriesName.P_PARTITION, 11, stride=11,
                                          offset=6), 100)),
     # intermediate reduced generating functions
-    "a54": ("A(5n+4) column is f_2^2 f_10^2 mod 5; A(10n+9) vanishes mod 5",
+    "a54": (IDENTITIES["a54"].reduction() + "; A(10n+9) vanishes mod 5",
             _check_a54),
-    "a51": ("a(5n+1) column is 3 f_1 f_2^2 mod 5",
+    "a51": (IDENTITIES["a51"].reduction(),
             _check_a51),
     "f52": ("f(5n+2) column vs quoted three-term reduction mod 25 (misprinted "
             "middle term; fails with witness) and f(25n+22) = 0 mod 25",

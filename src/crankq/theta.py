@@ -95,6 +95,10 @@ def verify_5dissections(order: int, which: str) -> CheckReport:
                                      [diff and {"identity": which, **diff}])
 
 
+def _power(base: str, e: int) -> str:
+    return base if e == 1 else f"{base}^{e}"
+
+
 @dataclass(frozen=True)
 class Identity:
     """The (m, r) column of a named series, sum of c(m n + r) q^n, equals
@@ -118,6 +122,23 @@ class Identity:
         build = _plain if self.plain else eta_quotient
         target = sum(build(spec, order) * c for c, spec in self.terms)
         return first_mismatch(column.extract(self.m, self.r), target, modulus=self.modulus)
+
+    def _one_term(self) -> tuple[int, tuple[tuple[int, int], ...], str]:
+        (c, spec), = self.terms
+        return c, spec.factors, f"{self.series.value}({self.m}n+{self.r})"
+
+    def statement(self) -> str:
+        """A one-term row as an equation: ``C(5n+4) = 5*f1^2*f5*f10^2/f2^4``."""
+        c, factors, column = self._one_term()
+        up = "*".join(_power(f"f{m}", e) for m, e in factors if e > 0)
+        down = "*".join(_power(f"f{m}", -e) for m, e in factors if e < 0)
+        return f"{column} = {c}*{up}" + (f"/{down}" if down else "")
+
+    def reduction(self) -> str:
+        """A one-term row as a reduction: ``a(5n+1) column is 3 f_1 f_2^2 mod 5``."""
+        c, factors, column = self._one_term()
+        body = " ".join(_power(f"f_{m}", e) for m, e in factors)
+        return f"{column} column is {f'{c} ' if c != 1 else ''}{body} mod {self.modulus}"
 
 
 _spec = EtaQuotientSpec.make

@@ -2,7 +2,8 @@
 
 import pytest
 
-from crankq.kalgebra import (K, KPolynomial, eval_at_K, pmn, pmn_series,
+from crankq import kalgebra, tasks
+from crankq.kalgebra import (K, KPolynomial, combo_sides, eval_at_K, pmn, pmn_series,
                              verify_combo_identity, verify_recurrences,
                              verify_series_agreement)
 from crankq.series import Series
@@ -104,6 +105,20 @@ def test_combo_identity_corruption_detected():
     rhs = ((K - 4) ** 2 * (K + 1) * (K * K - 3 * K + 1)
            * KPolynomial.monomial(1, -2))
     assert lhs_bad != rhs
+
+
+def test_combo_points_lie_in_the_pmn_eval_grid(monkeypatch):
+    # combo456 compares its sides only as polynomials in K; pmn-eval
+    # checks each P(m, n) that the combination reads against the direct
+    # R-series evaluation
+    read = []
+    true_pmn = kalgebra.pmn
+    monkeypatch.setattr(kalgebra, "pmn", lambda m, n: read.append((m, n)) or true_pmn(m, n))
+    combo_sides()
+    assert sorted(set(read)) == [(1, -1), (1, 0), (2, -1), (3, -2), (3, -1)]
+    grid = tasks._REGISTRY["pmn-eval"][1].keywords
+    assert all(0 <= m <= grid["m_max"] and grid["n_min"] <= n <= grid["n_max"]
+               for m, n in read)
 
 
 def test_micro_identities():

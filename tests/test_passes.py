@@ -7,8 +7,9 @@ is built on it, coefficient for coefficient, with
 whole series and ``Series.invert``) that the passes replaced, and with a
 local copy of the unblocked per-coefficient kernel that the blocked one
 replaced, and with local copies of the corner-first and the centre-out
-P(m,n) lattice walks that the hub walk replaced.  Planned eta quotients
-are also compared with the plain route, |e| passes of f_m.
+P(m,n) lattice walks that the hub walk replaced, and of the ladder that
+climbed its first step out of 1 by passes.  Planned eta quotients are
+also compared with the plain route, |e| passes of f_m.
 """
 
 import random
@@ -500,14 +501,16 @@ def grid_term_steps(monkeypatch, grid):
     return sum(steps for _, steps in grid_pass_log(monkeypatch, grid))
 
 
-def test_default_grid_runs_300_passes(monkeypatch):
+def test_default_grid_runs_298_passes(monkeypatch):
     # 63 lattice points u^i v^j, |i| <= 4, |j| <= 3: the centre-out walk
     # reached them from 1 by 62 steps of six passes, 372 passes and 8064
     # term-steps at order 400; the hub walk hangs rows +-1, +-2 and +-4
-    # from the hubs of rows 0 and +-3; the corner walk ran 444
+    # from the hubs of rows 0 and +-3, 300 passes and 5760 term-steps, and
+    # lays out the multiply of its two moves out of 1, R1 and 1/R1; the
+    # corner walk ran 444
     shape = (0, 4, -3, 3, 400)
-    assert grid_passes(monkeypatch, pmn_series_grid(*shape)) == 300
-    assert grid_term_steps(monkeypatch, pmn_series_grid(*shape)) == 5760
+    assert grid_passes(monkeypatch, pmn_series_grid(*shape)) == 298
+    assert grid_term_steps(monkeypatch, pmn_series_grid(*shape)) == 5711
     assert grid_passes(monkeypatch, reference_centre_out_grid(*shape)) == 372
     assert grid_term_steps(monkeypatch, reference_centre_out_grid(*shape)) == 8064
     assert grid_passes(monkeypatch, reference_pmn_grid(*shape)) == 444
@@ -546,6 +549,72 @@ def test_grid_runs_no_more_term_steps_than_centre_out(m_min, m_max, n_min, n_max
     assert (sum(steps for _, steps in log)
             <= grid_term_steps(monkeypatch, reference_centre_out_grid(*shape)))
     assert list(pmn_series_grid(*shape)) == list(reference_centre_out_grid(*shape))
+
+
+# ----------------------------------------------------------------------
+# first steps out of 1, laid out by _Product in place of passes
+
+def reference_power_sums(sums, factors, order):
+    """The ladder power_sums replaced: every step, the first one out of 1
+    included, climbed by passes."""
+    sums = [[t for t in terms if t[0] < order] for terms in sums]
+    powers = {p for terms in sums for _, _, p in terms}
+    low = min((s for terms in sums for s, _, _ in terms), default=0)
+    ladder = {}
+    for top in (max(powers, default=0), min(powers, default=0)):
+        x = [1] + [0] * (order - low - 1)
+        for k, xk in enumerate(climb(x, factors, top)):
+            p = k if top >= 0 else -k
+            if p in powers:
+                ladder[p] = xk[:]
+    for terms in sums:
+        out = [0] * (order - low)
+        for s, c, p in terms:
+            out[s - low:] = [o + c * y for o, y in zip(out[s - low:], ladder[p])]
+        yield Series(low, out, order)
+
+
+# orders at and around 64, 256 and 512, the divide block sizes tried
+AROUND_BLOCKS = [n + d for n in (64, 256, 512) for d in (-1, 0, 1)]
+# the R(q^5) brackets of dis31 and dis32, one power alone, and no term
+BRACKETS = [[(0, 1, -1), (1, -1, 0), (2, -1, 1)],
+            [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
+             (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)],
+            [(3, -2, 2)], [(0, 7, -1)], [(5, 1, 0)], []]
+
+
+@pytest.mark.parametrize("order", AROUND_BLOCKS)
+def test_ladders_match_climbs_from_1(order):
+    polys = [pmn(m, n) for m, n in PMN_GRID]
+    k_plan = plan_quotient(NAMED_SPECS[SeriesName.K_PARAM])
+    assert list(eval_at_K_many(polys, order)) == list(reference_power_sums(
+        [[(-d, c, d) for d, c in p.items()] for p in polys], k_plan, order))
+    for factors in (rr_factors(5), _U, _V, [("jacobi", 1, 2), ("squares", 2, -1)]):
+        assert (list(etaq.power_sums(BRACKETS, factors, order))
+                == list(reference_power_sums(BRACKETS, factors, order)))
+
+
+@pytest.mark.parametrize("order", AROUND_BLOCKS)
+@pytest.mark.parametrize("shape", [(0, 1, -2, 2), (2, 4, -1, 1), (4, 7, -2, -2)])
+def test_grid_matches_climbs_from_1(shape, order):
+    # a grid with row 0 moves out of 1 by R1 and 1/R1; the other two reach
+    # their first chain from 1 by the factors of one of its points
+    assert (list(pmn_series_grid(*shape, order))
+            == list(reference_centre_out_grid(*shape, order)))
+
+
+def test_ladders_out_of_1_lay_out_their_first_step(monkeypatch):
+    # at order 400 the K ladder of the default grid climbs K^1 .. K^4 and
+    # K^-1 .. K^-3 by K's four passes, q^-1 psi(q) pent(q^5) / (f_2
+    # jacobi(q^10)), 28 in all; the first step each way lays out its two
+    # multiplies
+    polys = [pmn(m, n) for m, n in PMN_GRID]
+    assert grid_passes(monkeypatch, eval_at_K_many(polys, 400)) == 24
+    # the tasks from an empty cache: dis31 and dis32 climb R(q^5) one and
+    # four steps each way, and combo456 climbs no ladder
+    for tid, passes in (("dis31", 2), ("dis32", 18), ("combo456", 0)):
+        monkeypatch.setattr(etaq, "_CACHE", {})
+        assert grid_passes(monkeypatch, map(partial(run_task, order=400), [tid])) == passes
 
 
 def test_grid_witness_is_first_failure_in_m_major_order(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from crankq import etaq, tasks, theta
 from crankq.errors import CrankqError
-from crankq.etaq import eta_series, named_series, rr_stretch
+from crankq.etaq import EtaQuotientSpec, eta_series, named_series, rr_stretch
 from crankq.series import Series
 from crankq.theta import (IDENTITIES, ThetaKind, five_dissection_sides, theta_sum,
                           verify_5dissections, verify_K_identities,
@@ -148,6 +148,20 @@ def test_identity_row_mutant_is_refuted(row):
     witness = mutant.mismatch(order)
     assert witness is not None and witness["exponent"] < order
     assert witness["lhs"] != witness["rhs"]
+
+
+def test_statements_are_rendered_from_their_rows():
+    # byte for byte the text that the report and `crankq list` printed as
+    # prose, and a changed row changes it
+    assert tasks.run_task("thm12", order=20).params == {
+        "identity": "C(5n+4) = 5*f1^2*f5*f10^2/f2^4"}
+    assert tasks.describe("a51") == "a(5n+1) column is 3 f_1 f_2^2 mod 5"
+    assert tasks.describe("a54") == ("A(5n+4) column is f_2^2 f_10^2 mod 5; "
+                                     "A(10n+9) vanishes mod 5")
+    mutant = replace(IDENTITIES["thm12"], terms=((3, EtaQuotientSpec.make({1: -1, 4: 2})),))
+    assert mutant.statement() == "C(5n+4) = 3*f4^2/f1"
+    assert (replace(IDENTITIES["a51"], modulus=7).reduction()
+            == "a(5n+1) column is 3 f_1 f_2^2 mod 7")
 
 
 def test_plain_rows_build_no_target_through_the_plan(monkeypatch):
