@@ -158,7 +158,10 @@ def test_blocked_pass_matches_naive_and_reference(case, e):
     check_pass(*case, e)
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 7, 300])
+# list lengths around multiples of the block and around 64 and 128, lists
+# shorter than one block whose terms near their end are all near terms
+@pytest.mark.parametrize("n", sorted({63, 64, 65, 128, 199, 300, BLOCK - 1, BLOCK,
+                                      BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 7}))
 @pytest.mark.parametrize("e", [-3, -2, -1, 1, 2, 3])
 @pytest.mark.parametrize("weights", [(1, -1), (1, -1, -1, 1, 2, 1, -1, -3)],
                          ids=["unit", "mixed"])
