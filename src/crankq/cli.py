@@ -13,9 +13,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import tasks
-from .congruence import ORACLES, oracle_rows
+from .congruence import ORACLES
 from .errors import CrankqError
-from .etaq import eta_quotient, named_series, parse_quotient, resolve_name
+from .etaq import (SeriesName, eta_quotient, named_series, parse_quotient,
+                   resolve_name)
 from .kalgebra import pmn
 from .series import Series
 
@@ -69,13 +70,8 @@ def _cmd_verify(args) -> int:
         ids = args.theorem
     else:
         raise CrankqError("verify needs --theorem <id> (repeatable) or --all")
-    extra = {}
-    if args.alpha is not None:
-        extra["alpha"] = args.alpha
-    if args.p is not None:
-        extra["p"] = args.p
-    if args.n_max is not None:
-        extra["n_max"] = args.n_max
+    extra = {name: value for name in ("alpha", "p", "n_max")
+             if (value := getattr(args, name)) is not None}
     failed = usage_errors = 0
     for tid in ids:
         try:
@@ -91,14 +87,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = ORACLES[args.which]
-    n_max = args.n_max if args.n_max is not None else spec.default_n_max
-    rows, mismatches = oracle_rows(args.which, n_max)
-    skip = list(spec.excluded)
+    rows, mismatches, report = tasks.run_oracle(args.which, args.n_max)
+    n_max, skip = report.params["n_max"], list(spec.excluded)
     if args.format == "json":
-        payload = {
-            "oracle": spec.label, "n_max": n_max, "excluded": skip, "rows": rows,
-            "outcome": "fail" if mismatches else "pass",
-        }
+        payload = {"oracle": spec.label, "n_max": n_max, "excluded": skip, "rows": rows,
+                   "outcome": report.outcome}
         print(json.dumps(payload, sort_keys=False))
     else:
         for row in rows:
@@ -106,9 +99,9 @@ def _cmd_oracle(args) -> int:
             note = ("  (excluded: known discrepancy)" if n in skip
                     else "  MISMATCH" if row in mismatches else "")
             print(f"n={n:3d}  enumeration={e:12d}  coefficient={c:12d}{note}")
-        print(("FAIL " if mismatches else "PASS ") + spec.label +
+        print(("PASS " if report.passed else "FAIL ") + spec.label +
               f" (n <= {n_max}" + (f", excluding {skip}" if skip else "") + ")")
-    return 1 if mismatches else 0
+    return 0 if report.passed else 1
 
 
 def _cmd_pmn(args) -> int:
@@ -141,27 +134,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact q-series engine and congruence verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order_default=DEFAULT_ORDER):
-        p.add_argument("--order", type=int, default=order_default,
+    def add_source(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--series", help="registry name ("
+                           + ", ".join(name.value for name in SeriesName) + ")")
+        group.add_argument("--quotient", help="eta-quotient string, e.g. 'f1^3 * f2^-2'")
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help="truncation order (exponents below this are exact)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("expand", help="print coefficients of a named series "
                                       "or an eta-quotient string")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--series", help="registry name (p, C, a, d, h, K, A, f)")
-    group.add_argument("--quotient", help="eta-quotient string, e.g. 'f1^3 * f2^-2'")
-    add_common(p)
+    add_source(p)
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("dissect", help="print one arithmetic-progression "
                                        "component of a series")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--series")
-    group.add_argument("--quotient")
+    add_source(p)
     p.add_argument("--m", type=int, required=True, help="dissection modulus")
     p.add_argument("--r", type=int, required=True, help="residue class")
-    add_common(p)
     p.set_defaults(fn=_cmd_dissect)
 
     p = sub.add_parser("verify", help="run verification tasks")
@@ -175,27 +165,26 @@ def build_parser() -> argparse.ArgumentParser:
                         "(rec35, rec36, pmn-eval), the top of n")
     p.add_argument("--order", type=int, default=None,
                    help="override the task's default order")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="run a combinatorial counting oracle "
                                       "against the series")
-    p.add_argument("--which", choices=("crank", "colored"), required=True)
+    p.add_argument("--which", choices=list(ORACLES), required=True)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("pmn", help="print P(m,n) as a Laurent polynomial in K")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_pmn)
 
     p = sub.add_parser("report", help="run the full verification suite")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed_ms in JSON output (non-deterministic)")
     p.set_defaults(fn=_cmd_report)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("list", help="list task ids and descriptions")
     p.set_defaults(fn=lambda a: _cmd_list())

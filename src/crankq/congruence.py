@@ -19,13 +19,14 @@ oracle comparison excludes n = 1 and reports the discrepancy explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 from .errors import CrankqError, EnumerationCapExceeded, InexactDivision
-from .etaq import SeriesName, named_series, resolve_name
+from .etaq import SUMS, SeriesName, named_series, resolve_name
 from .report import CheckReport
 from .series import Series
-from .theta import ThetaKind, theta_sum
+from .theta import ThetaKind
 
 __all__ = [
     "crank_parity_oracle",
@@ -34,6 +35,7 @@ __all__ = [
     "weighted_sum",
     "check_progression",
     "solve_24n_condition",
+    "prime_shift",
     "cooper_hirschhorn_check",
     "ORACLE_CAP",
     "ORACLES",
@@ -196,7 +198,7 @@ def weighted_sum(family: CongruenceFamily, n: int,
     if family.weight is None:
         total = series.coeff(base)
     else:
-        terms = theta_sum(family.weight, base // family.scale + 1).terms()
+        terms = [(0, 1), *SUMS[family.weight.value][1](base // family.scale + 1)]
         total = sum(w * series.coeff(base - family.scale * e) for e, w in terms)
     if family.pre_divisor == 1:
         return total
@@ -252,17 +254,17 @@ def solve_24n_condition(alpha: int) -> tuple[int, int]:
     return pow(24, -1, modulus), modulus
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def prime_shift(p: int, a: int, b: int, residues: tuple[int, ...] = (13, 17, 19, 23),
+                modulus: int = 24) -> int:
+    """(a p^2 - b)/24 for a prime p in ``residues`` mod ``modulus``; any
+    other p raises ValueError."""
+    if (p < 2 or p % modulus not in residues
+            or any(p % f == 0 for f in range(2, isqrt(p) + 1))):
+        raise ValueError(f"p must be a prime in {{{', '.join(map(str, residues))}}} "
+                         f"mod {modulus}")
+    shift, rem = divmod(a * p * p - b, 24)
+    assert rem == 0
+    return shift
 
 
 def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
@@ -299,10 +301,7 @@ def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
 
     if sequence is not SeriesName.H_CH:
         raise ValueError(f"no multiplicative relation registered for {sequence}")
-    if not _is_prime(p) or p % 24 not in (13, 17, 19, 23):
-        raise ValueError("p must be a prime in {13, 17, 19, 23} mod 24")
-    shift5, rem = divmod(5 * (p * p - 1), 24)
-    assert rem == 0
+    shift5 = prime_shift(p, 5, 5)
     n_max = _n_max_for(n_max, order, p, shift5, 100)
     order = max(p * n_max, p * p * corollary_n_max + p * (p - 1)) + shift5 + 1
     series = named_series(sequence, order)

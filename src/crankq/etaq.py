@@ -175,8 +175,8 @@ def theta_terms(p: int, r: int, order: int) -> list[tuple[int, int]]:
 
 # name -> (exponents, terms).  With exponents (a, b) the sum at q -> q^m is
 # f_m^a f_2m^b: these rows are the planner's table, and theta.theta_sum
-# expands the same generators.  The two halves of R(q) = T(5, 3) / T(5, 1)
-# (Jacobi triple product) have no such form.
+# and the congruence scans read the same generators.  The two halves of
+# R(q) = T(5, 3) / T(5, 1) (Jacobi triple product) have no such form.
 SUMS: dict[str, tuple[Optional[tuple[int, int]], Callable[[int], list[tuple[int, int]]]]] = {
     # Euler: sum_k (-1)^k q^(k(3k-1)/2) = f_1
     "eta": ((1, 0), partial(theta_terms, 3, 1)),

@@ -29,12 +29,13 @@ from .errors import CrankqError
 from .etaq import (NAMED_SPECS, Factor, SeriesName, apply_factors, factor_cost,
                    factor_product, plan_quotient, power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
-from .series import Series
+from .series import Series, signed_terms
 
 __all__ = [
     "KPolynomial",
     "K",
     "PmnIndex",
+    "PMN_GRID",
     "pmn",
     "pmn_series_grid",
     "pmn_series",
@@ -151,21 +152,7 @@ class KPolynomial:
         return result
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for d, c in sorted(self._terms.items(), reverse=True):
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                kpart = "K" if d == 1 else f"K^{d}"
-                body = kpart if mag == 1 else f"{mag}*{kpart}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        return signed_terms(sorted(self._terms.items(), reverse=True), "K") or "0"
 
     __repr__ = __str__
 
@@ -227,6 +214,11 @@ def pmn(m: int, n: int) -> KPolynomial:
         raise ValueError("m must be >= 0")
     with _PMN_LOCK:
         return _pmn(m, n)
+
+
+# The grid m in [0, m_max], n in [n_min, n_max] on which rec35, rec36 and
+# pmn-eval check P(m, n) by default.
+PMN_GRID = {"m_max": 4, "n_min": -3, "n_max": 3}
 
 
 def _check_grid(m_min: int, m_max: int, n_min: int, n_max: int) -> dict[str, int]:
@@ -372,8 +364,9 @@ def eval_at_K(p: KPolynomial, order: int) -> Series:
     return next(eval_at_K_many([p], order))
 
 
-def verify_recurrences(which: str, m_max: int = 4, n_min: int = -3,
-                       n_max: int = 3) -> CheckReport:
+def verify_recurrences(which: str, m_max: int = PMN_GRID["m_max"],
+                       n_min: int = PMN_GRID["n_min"],
+                       n_max: int = PMN_GRID["n_max"]) -> CheckReport:
     """Exact symbolic closure of the n-step ("35") or the m-step ("36")
     P(m,n) recurrence on a grid."""
     step = {"35": "n-step", "36": "m-step"}.get(which)
@@ -392,8 +385,9 @@ def verify_recurrences(which: str, m_max: int = 4, n_min: int = -3,
     return CheckReport.from_failures(f"rec{which}", params, 0, failures)
 
 
-def verify_series_agreement(order: int = 100, m_max: int = 3,
-                            n_min: int = -2, n_max: int = 2) -> CheckReport:
+def verify_series_agreement(order: int = 100, m_max: int = PMN_GRID["m_max"],
+                            n_min: int = PMN_GRID["n_min"],
+                            n_max: int = PMN_GRID["n_max"]) -> CheckReport:
     """eval_at_K(pmn) against the direct R-series evaluation on a grid.
 
     Both sides are streamed in m-major order, so the witness is the first
@@ -436,18 +430,10 @@ def verify_combo_identity(order: int = 100) -> CheckReport:
     1 + P(0,-1) = (K-4)/K and 1 - 2P(0,-1) - 2P(1,0) = 1 + 8K^-1 - 2K,
     both cleared of denominators before comparison.
     """
-    failures = []
-    lhs, rhs = combo_sides()
-    if lhs != rhs:
-        failures.append({"check": "symbolic", "lhs": str(lhs), "rhs": str(rhs)})
-    micro1_lhs = 1 + pmn(0, -1)
-    micro1_rhs = (K - 4) * KPolynomial.monomial(1, -1)
-    if micro1_lhs != micro1_rhs:
-        failures.append({"check": "micro1", "lhs": str(micro1_lhs),
-                         "rhs": str(micro1_rhs)})
-    micro2_lhs = 1 - 2 * pmn(0, -1) - 2 * pmn(1, 0)
-    micro2_rhs = KPolynomial({-1: 8, 0: 1, 1: -2})
-    if micro2_lhs != micro2_rhs:
-        failures.append({"check": "micro2", "lhs": str(micro2_lhs),
-                         "rhs": str(micro2_rhs)})
+    checks = {"symbolic": combo_sides(),
+              "micro1": (1 + pmn(0, -1), (K - 4) * KPolynomial.monomial(1, -1)),
+              "micro2": (1 - 2 * pmn(0, -1) - 2 * pmn(1, 0),
+                         KPolynomial({-1: 8, 0: 1, 1: -2}))}
+    failures = [{"check": check, "lhs": str(lhs), "rhs": str(rhs)}
+                for check, (lhs, rhs) in checks.items() if lhs != rhs]
     return CheckReport.from_failures("combo456", {}, order, failures)

@@ -38,15 +38,32 @@ without recomputing their prefix.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InexactDivision, NonUnitLeadingCoefficient, OrderExceeded
 
-__all__ = ["Series", "sparse_pass"]
+__all__ = ["Series", "sparse_pass", "signed_terms"]
 
 
 def _nnz(coeffs: tuple[int, ...]) -> int:
     return sum(1 for c in coeffs if c)
+
+
+def signed_terms(terms: Iterable[tuple[int, int]], var: str,
+                 limit: Optional[int] = None) -> str:
+    """The (exponent, coefficient) terms as ``-3*q^-1 + 1 - q^2``, in the
+    order given; past ``limit`` terms, ``+ ...`` ends the text."""
+    parts = []
+    for e, c in terms:
+        if len(parts) == limit:
+            parts.append("+ ...")
+            break
+        mag = abs(c)
+        power = var if e == 1 else f"{var}^{e}"
+        body = str(mag) if e == 0 else power if mag == 1 else f"{mag}*{power}"
+        sign = "-" if c < 0 else "+"
+        parts.append(f"{sign} {body}" if parts else body if c > 0 else f"-{body}")
+    return " ".join(parts)
 
 
 # The smallest octave of a divide pass.  A unit term with k >= _BLOCK
@@ -206,28 +223,6 @@ class Series:
         if exponent >= order:
             raise ValueError(f"exponent {exponent} not below order {order}")
         return cls(exponent, [c] + [0] * (order - exponent - 1), order)
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]],
-                   order: int) -> "Series":
-        """Build a series from sparse (exponent, coefficient) data.
-
-        Exponents at or above ``order`` are discarded: the result only
-        claims the window it can see.
-        """
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        kept: dict[int, int] = {}
-        for e, c in items:
-            if e < order:
-                kept[e] = kept.get(e, 0) + c
-        kept = {e: c for e, c in kept.items() if c}
-        if not kept:
-            return cls.zero(order)
-        val = min(kept)
-        dense = [0] * (order - val)
-        for e, c in kept.items():
-            dense[e - val] = c
-        return cls(val, dense, order)
 
     # ------------------------------------------------------------------
     # inspection
@@ -480,22 +475,7 @@ class Series:
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        for e, c in self.terms():
-            if len(parts) == 10:
-                parts.append("+ ...")
-                break
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}*{qpart}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        parts.append(f"+ O(q^{self.order})" if parts else f"O(q^{self.order})")
-        return " ".join(parts)
+        body = signed_terms(self.terms(), "q", limit=10)
+        return f"{body} + O(q^{self.order})" if body else f"O(q^{self.order})"
 
     __repr__ = __str__

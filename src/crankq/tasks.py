@@ -24,15 +24,15 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from . import etaq, kalgebra, theta
-from .congruence import (ORACLES, CongruenceFamily, _is_prime, _n_max_for,
+from .congruence import (ORACLES, CongruenceFamily, _n_max_for,
                          check_progression, cooper_hirschhorn_check,
-                         oracle_rows, solve_24n_condition)
+                         oracle_rows, prime_shift, solve_24n_condition)
 from .errors import CrankqError
 from .etaq import SeriesName, named_series
 from .report import CheckReport
 from .theta import IDENTITIES, ThetaKind
 
-__all__ = ["task_ids", "describe", "run_task", "run_all"]
+__all__ = ["task_ids", "describe", "run_task", "run_all", "run_oracle"]
 
 
 def _check_family(tid: str, family: CongruenceFamily, default: int,
@@ -72,11 +72,15 @@ def _check_thm12(order: int = 300) -> CheckReport:
                                      [IDENTITIES["thm12"].mismatch(order)])
 
 
-def _check_5p2_families(task: str, p: int, shift: int, weight: ThetaKind,
-                        n_max: Optional[int], order: Optional[int]) -> CheckReport:
+def _check_5p2(task: str, weight: ThetaKind, form: tuple, p: int,
+               n_max: Optional[int] = None,
+               order: Optional[int] = None) -> CheckReport:
     """Weighted sums of the reciprocal sequence vanish mod 5 on
-    5p^2 n + 5pr + shift for r = 1 .. p-1; the first r that fails is named
-    in the witness.  n_max defaults to 1."""
+    5p^2 n + 5pr + shift for r = 1 .. p-1, where the admissible p and
+    shift = (a p^2 - b)/24 are :func:`prime_shift` of ``form``, (a, b) or
+    (a, b, residues, modulus).  The first r that fails is named in the
+    witness.  n_max defaults to 1."""
+    shift = prime_shift(p, *form)
     families = [CongruenceFamily(SeriesName.A_RECIP, 5, stride=5 * p * p,
                                  offset=5 * p * r + shift, weight=weight, scale=5)
                 for r in range(1, p)]
@@ -90,28 +94,6 @@ def _check_5p2_families(task: str, p: int, shift: int, weight: ThetaKind,
     failures = (dict(part.witness, r=r)
                 for r, part in enumerate(parts, start=1) if not part.passed)
     return CheckReport.from_failures(task, params, order, failures)
-
-
-def _check_thm16(p: int = 13, n_max: Optional[int] = None,
-                 order: Optional[int] = None) -> CheckReport:
-    """Alternating-square sums of the reciprocal sequence vanish mod 5 on
-    the progressions 5p^2 n + 5pr + (25p^2-1)/24, r = 1 .. p-1."""
-    if not _is_prime(p) or p % 24 not in (13, 17, 19, 23):
-        raise ValueError("p must be a prime in {13, 17, 19, 23} mod 24")
-    shift, rem = divmod(25 * p * p - 1, 24)
-    assert rem == 0
-    return _check_5p2_families("thm16", p, shift, ThetaKind.SQUARES, n_max, order)
-
-
-def _check_cr2(p: int = 7, n_max: Optional[int] = None,
-               order: Optional[int] = None) -> CheckReport:
-    """Alternating cubic-weighted sums of the reciprocal sequence vanish
-    mod 5 on 5p^2 n + 5pr + (65p^2-41)/24, r = 1 .. p-1."""
-    if not _is_prime(p) or p % 12 not in (7, 11):
-        raise ValueError("p must be a prime in {7, 11} mod 12")
-    shift, rem = divmod(65 * p * p - 41, 24)
-    assert rem == 0
-    return _check_5p2_families("cr2", p, shift, ThetaKind.CUBIC_3K1, n_max, order)
 
 
 def _check_a54(order: int = 150, n_max: int = 100) -> CheckReport:
@@ -163,10 +145,11 @@ def _check_f52_corrected(order: int = 100) -> CheckReport:
                                      failures)
 
 
-def _check_oracle(which: str, n_max: Optional[int] = None,
-                  order: Optional[int] = None) -> CheckReport:
-    """Counting oracle against its series; the crank oracle excludes and
-    reports the documented n = 1 discrepancy (count -1 vs coefficient -3)."""
+def run_oracle(which: str, n_max: Optional[int] = None, order: Optional[int] = None
+               ) -> tuple[list[dict], list[dict], CheckReport]:
+    """Counting oracle against its series: every row, the mismatching rows
+    and the report.  The crank oracle excludes and reports the documented
+    n = 1 discrepancy (count -1 vs coefficient -3)."""
     spec = ORACLES[which]
     n_max = _n_max_for(n_max, order, 1, 0, spec.default_n_max)
     rows, mismatches = oracle_rows(which, n_max)
@@ -174,8 +157,13 @@ def _check_oracle(which: str, n_max: Optional[int] = None,
     if which == "crank":
         params.update(excluded=list(spec.excluded),
                       n1_discrepancy=rows[1] if n_max >= 1 else None)
-    return CheckReport.from_failures(f"oracle-{which}", params, n_max + 1,
-                                     mismatches)
+    return rows, mismatches, CheckReport.from_failures(f"oracle-{which}", params,
+                                                       n_max + 1, mismatches)
+
+
+def _check_oracle(which: str, n_max: Optional[int] = None,
+                  order: Optional[int] = None) -> CheckReport:
+    return run_oracle(which, n_max, order)[2]
 
 
 def _binom_suite(order: int = 150,
@@ -214,13 +202,14 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
                                         weight=ThetaKind.TRIANGULAR, scale=5,
                                         pre_divisor=5), 7)),
     "thm16": ("alternating-square sums of a on the 5p^2 progressions, mod 5",
-              _check_thm16),
+              partial(_check_5p2, "thm16", ThetaKind.SQUARES, (25, 1), p=13)),
     "cr1": ("pentagonal-weighted sums of a over 25n+21 vanish mod 5",
             partial(_check_family, "cr1",
                     CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=21,
                                      weight=ThetaKind.PENT_6K1, scale=5), 20)),
     "cr2": ("alternating cubic-weighted sums of a on 5p^2 progressions, mod 5",
-            _check_cr2),
+            partial(_check_5p2, "cr2", ThetaKind.CUBIC_3K1, (65, 41, (7, 11), 12),
+                    p=7)),
     "ch-d": ("multiplicative relation d(7n+16) = 49 d(n/7)",
              partial(cooper_hirschhorn_check, SeriesName.D_CH, p=7)),
     "ch-h": ("multiplicative relation h(pn+shift) = +-p h(n/p) and vanishing",
@@ -281,8 +270,7 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
     "rec36": ("m-step recurrence closes symbolically on the grid",
               partial(kalgebra.verify_recurrences, which="36")),
     "pmn-eval": ("symbolic P(m,n) matches direct R-series evaluation",
-                 partial(kalgebra.verify_series_agreement,
-                         m_max=4, n_min=-3, n_max=3)),
+                 kalgebra.verify_series_agreement),
     "combo456": ("five-term P-combination identity plus micro-identities",
                  kalgebra.verify_combo_identity),
 }

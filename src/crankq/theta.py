@@ -49,7 +49,7 @@ def theta_sum(kind: ThetaKind, order: int) -> Series:
     """Sum weight(k) q^exponent(k) over every k whose exponent is below order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return Series.from_terms([(0, 1), *SUMS[kind.value][1](order)], order)
+    return factor_product([(kind.value, 1, 1)], order)
 
 
 def _plain(spec: EtaQuotientSpec, order: int) -> Series:

@@ -290,3 +290,65 @@ def test_pmn_deep_index(capsys, m, n):
     else:
         assert (terms[str(-n)], terms[str(2 - n)]) == (4 ** n, n * 4 ** (n - 2))
         assert max(map(int, terms)) == 0
+
+
+_ORACLE_ROWS = {
+    "crank": [(0, 1, 1), (1, -1, -3), (2, 2, 2), (3, -1, -1), (4, 5, 5),
+              (5, -5, -5), (6, 3, 3)],
+    "colored": [(0, 1, 1), (1, 3, 3), (2, 7, 7), (3, 16, 16), (4, 32, 32),
+                (5, 61, 61), (6, 112, 112)],
+}
+_ORACLE_TEXT = {
+    "crank": [
+        "n=  0  enumeration=           1  coefficient=           1",
+        "n=  1  enumeration=          -1  coefficient=          -3"
+        "  (excluded: known discrepancy)",
+        "n=  2  enumeration=           2  coefficient=           2",
+        "n=  3  enumeration=          -1  coefficient=          -1",
+        "n=  4  enumeration=           5  coefficient=           5",
+        "n=  5  enumeration=          -5  coefficient=          -5",
+        "n=  6  enumeration=           3  coefficient=           3",
+    ],
+    "colored": [
+        "n=  0  enumeration=           1  coefficient=           1",
+        "n=  1  enumeration=           3  coefficient=           3",
+        "n=  2  enumeration=           7  coefficient=           7",
+        "n=  3  enumeration=          16  coefficient=          16",
+        "n=  4  enumeration=          32  coefficient=          32",
+        "n=  5  enumeration=          61  coefficient=          61",
+        "n=  6  enumeration=         112  coefficient=         112",
+    ],
+}
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6])
+@pytest.mark.parametrize("which", ["crank", "colored"])
+def test_oracle_output_is_pinned(capsys, which, n_max):
+    label, excluded = {"crank": ("crank-parity", [1]),
+                       "colored": ("colored-partition", [])}[which]
+    code, out, err = run(capsys, "oracle", "--which", which, "--n-max", str(n_max))
+    verdict = f"PASS {label} (n <= {n_max}" + (", excluding [1])" if excluded else ")")
+    assert (code, err) == (0, "")
+    assert out == "\n".join(_ORACLE_TEXT[which][:n_max + 1] + [verdict]) + "\n"
+    code, out, err = run(capsys, "oracle", "--which", which, "--n-max", str(n_max),
+                         "--format", "json")
+    rows = [{"n": n, "enumeration": e, "coefficient": c}
+            for n, e, c in _ORACLE_ROWS[which][:n_max + 1]]
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"oracle": label, "n_max": n_max, "excluded": excluded,
+                              "rows": rows, "outcome": "pass"}) + "\n"
+
+
+@pytest.mark.parametrize("tid, p, residues", [
+    ("thm16", 11, "{13, 17, 19, 23} mod 24"),
+    ("thm16", 65, "{13, 17, 19, 23} mod 24"),     # 5 * 13
+    ("cr2", 13, "{7, 11} mod 12"),
+    ("cr2", 35, "{7, 11} mod 12"),                # 5 * 7
+    ("ch-h", 11, "{13, 17, 19, 23} mod 24"),
+    ("ch-h", 65, "{13, 17, 19, 23} mod 24"),
+])
+def test_inadmissible_p_is_usage_error(capsys, tid, p, residues):
+    # a p outside the residue classes, or composite inside them
+    code, out, err = run(capsys, "verify", "--theorem", tid, "--p", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: {tid}: p must be a prime in {residues}\n"

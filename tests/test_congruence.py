@@ -10,7 +10,7 @@ from crankq.congruence import (ORACLE_CAP, CongruenceFamily, check_progression,
 from crankq.errors import EnumerationCapExceeded, InexactDivision, OrderExceeded
 from crankq.etaq import SeriesName, named_series
 from crankq.tasks import run_task, task_ids
-from crankq.theta import ThetaKind
+from crankq.theta import ThetaKind, theta_sum
 
 from oracles import colored_count, crank_of, crank_parity, enum_partitions
 
@@ -165,6 +165,25 @@ def test_weighted_pentagonal_bridge():
     target = eta_series({1: 6}, 61)
     for n in range(61):
         assert weighted_sum(family, n, a) % 5 == (3 * target.coeff(n)) % 5
+
+
+@pytest.mark.parametrize("scale", [1, 5])
+@pytest.mark.parametrize("kind", list(ThetaKind))
+def test_weighted_sum_matches_a_sum_over_the_theta_series(kind, scale):
+    # the scan reads the terms of the SUMS row directly; the reference
+    # expands the theta series below base // scale + 1 and sums over its
+    # nonzero terms.  base // scale lands on each of the first exponents
+    # of the sum and just below it, at both ends of its window of n.
+    a = named_series(SeriesName.A_RECIP, 61 * scale)
+    family = CongruenceFamily(SeriesName.A_RECIP, 5, stride=1, offset=0,
+                              weight=kind, scale=scale)
+    exponents = [e for e, _ in theta_sum(kind, 60).terms()]
+    assert len(exponents) >= 5
+    for e in exponents[1:]:
+        for n in (scale * e, scale * e - 1, scale * e + scale - 1):
+            reference = sum(w * a.coeff(n - scale * k)
+                            for k, w in theta_sum(kind, n // scale + 1).terms())
+            assert weighted_sum(family, n, a) == reference, (e, n)
 
 
 def test_weighted_sum_degenerate_weight():

@@ -116,9 +116,12 @@ def test_combo_points_lie_in_the_pmn_eval_grid(monkeypatch):
     monkeypatch.setattr(kalgebra, "pmn", lambda m, n: read.append((m, n)) or true_pmn(m, n))
     combo_sides()
     assert sorted(set(read)) == [(1, -1), (1, 0), (2, -1), (3, -2), (3, -1)]
-    grid = tasks._REGISTRY["pmn-eval"][1].keywords
+    grid = kalgebra.PMN_GRID
     assert all(0 <= m <= grid["m_max"] and grid["n_min"] <= n <= grid["n_max"]
                for m, n in read)
+    # the task and the function, each at its defaults, check that grid
+    monkeypatch.undo()
+    assert verify_series_agreement().params == tasks.run_task("pmn-eval").params == grid
 
 
 def test_micro_identities():

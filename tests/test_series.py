@@ -374,3 +374,25 @@ def reference_extract(a, m, r):
 def test_extract_matches_per_coefficient_reference(a, m):
     for r in range(m):
         assert a.extract(m, r) == reference_extract(a, m, r)
+
+
+# ----------------------------------------------------------------------
+# printing
+
+@pytest.mark.parametrize("series, text", [
+    (Series.zero(5), "O(q^5)"),
+    (Series(-1, [-1, 1, -1, 3, 0, -2, 0], 6),
+     "-q^-1 + 1 - q + 3*q^2 - 2*q^4 + O(q^6)"),
+    (Series(0, [-5, 0, 1, 0], 4), "-5 + q^2 + O(q^4)"),
+    (Series(0, [1] * 10 + [0, 0], 12),
+     "1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + q^8 + q^9 + O(q^12)"),
+    (Series(0, [1] * 11 + [0], 12),
+     "1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + q^8 + q^9 + ... + O(q^12)"),
+    (Series(1, [2, -1] * 5 + [7, 0, 0], 14),
+     "2*q - q^2 + 2*q^3 - q^4 + 2*q^5 - q^6 + 2*q^7 - q^8 + 2*q^9 - q^10"
+     " + ... + O(q^14)"),
+])
+def test_str_prints_signed_terms_and_the_order(series, text):
+    # the first ten nonzero terms, ascending, then "..." when more follow
+    assert str(series) == text
+    assert repr(series) == text
