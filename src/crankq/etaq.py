@@ -60,9 +60,8 @@ __all__ = [
     "factor_product",
     "factor_cost",
     "plan_quotient",
-    "climb",
+    "step",
     "power_sums",
-    "power_sum",
     "rr_series",
     "rr_stretch",
     "named_series",
@@ -431,19 +430,15 @@ def factor_product(factors: Iterable[Factor], order: int, shift: int = 0) -> Ser
     return _Product(factors, shift).get(order)
 
 
-def climb(coeffs: list[int], factors: Sequence[Factor],
-          steps: int) -> Iterator[list[int]]:
-    """Yield ``coeffs`` times X^0, X^1, ..., X^steps, X the product of ``factors``.
-
-    One list is multiplied in place by X between yields (divided by X when
-    ``steps`` is negative), so each step costs one set of passes and a
-    caller that keeps a power keeps a copy.
-    """
-    step = factors if steps >= 0 else [(name, m, -e) for name, m, e in factors]
-    yield coeffs
-    for _ in range(abs(steps)):
-        apply_factors(coeffs, step)
-        yield coeffs
+def step(coeffs: Optional[list[int]], factors: Iterable[Factor], n: int) -> list[int]:
+    """``coeffs`` times the product of ``factors``, in place by passes
+    (:func:`apply_factors`).  ``None`` stands for the unit list of length
+    n: that step out of 1 is built by :func:`factor_product`, which lays
+    out its leading multiplies."""
+    if coeffs is None:
+        return list(factor_product(factors, n).coeffs)
+    apply_factors(coeffs, factors)
+    return coeffs
 
 
 def power_sums(sums: Iterable[Iterable[tuple[int, int, int]]],
@@ -451,10 +446,10 @@ def power_sums(sums: Iterable[Iterable[tuple[int, int, int]]],
     """For each list of (s, c, p) terms, the sum of c * q^s * X^p, X the
     product of ``factors``; yielded one at a time, in the order given.
 
-    The powers of X that any sum needs are climbed once, outward from
-    X^0 = 1, and shared by every sum.  The first step out of 1, X or 1/X,
-    is built by :func:`factor_product`, which lays out its leading
-    multiplies; the later steps are climbed.
+    The powers of X that any sum needs are reached once, outward from
+    X^0 = 1, and shared by every sum.  Each is one :func:`step` from the
+    power before it, so the step out of 1 lays out its leading multiplies
+    and every later step runs passes in place.
     """
     sums = [[t for t in terms if t[0] < order] for terms in sums]
     powers = {p for terms in sums for _, _, p in terms}
@@ -463,21 +458,16 @@ def power_sums(sums: Iterable[Iterable[tuple[int, int, int]]],
     ladder = {0: [1] + [0] * (n - 1)}
     for top in {max(powers, default=0), min(powers, default=0)} - {0}:
         sign = 1 if top > 0 else -1
-        first = factor_product([(name, m, sign * e) for name, m, e in factors], n)
-        for k, xk in enumerate(climb(list(first.coeffs), factors, top - sign), 1):
-            if sign * k in powers:
-                ladder[sign * k] = xk[:]
+        move, x = [(name, m, sign * e) for name, m, e in factors], None
+        for k in range(sign, top + sign, sign):
+            x = step(x, move, n)
+            if k in powers:
+                ladder[k] = x[:]
     for terms in sums:
         out = [0] * (order - low)
         for s, c, p in terms:
             out[s - low:] = [o + c * y for o, y in zip(out[s - low:], ladder[p])]
         yield Series(low, out, order)
-
-
-def power_sum(terms: Iterable[tuple[int, int, int]], factors: Sequence[Factor],
-              order: int) -> Series:
-    """Sum of c * q^s * X^p over (s, c, p) terms: :func:`power_sums` of one."""
-    return next(power_sums([terms], factors, order))
 
 
 def eta_quotient(spec: EtaQuotientSpec, order: int) -> Series:

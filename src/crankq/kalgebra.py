@@ -26,8 +26,8 @@ from itertools import pairwise
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CrankqError
-from .etaq import (NAMED_SPECS, Factor, SeriesName, apply_factors, factor_cost,
-                   factor_product, plan_quotient, power_sums, rr_factors)
+from .etaq import (NAMED_SPECS, Factor, SeriesName, factor_cost, plan_quotient,
+                   power_sums, rr_factors, step)
 from .report import CheckReport, first_mismatch
 from .series import Series, signed_terms
 
@@ -306,7 +306,7 @@ def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
     rows above it (from m_min when m_min > 0) go in groups of three, each
     served by its middle row (a shorter last group by its lowest), climbed
     in step with its mirror.  A point streams out as soon as both of its
-    halves are built (:func:`_walk_plan`).
+    halves are built (:func:`_walk_plan`); a move is one :func:`~crankq.etaq.step`.
     """
     if m_min < 0:
         raise ValueError("m must be >= 0")
@@ -320,11 +320,8 @@ def pmn_series_grid(m_min: int, m_max: int, n_min: int, n_max: int,
     grid = ((m, n) for m in range(m_min, m_max + 1) for n in range(n_min, n_max + 1))
     want = next(grid)
     for src, dst, take, keep in _walk_plan(m_min, m_max, n_min, n_max):
-        if src == (0, 0):   # out of 1: _Product lays out the leading multiplies
-            x = list(factor_product(_move(src, dst), width).coeffs)
-        else:
-            x = lists.pop(src) if take else lists[src][:]
-            apply_factors(x, _move(src, dst))
+        x = None if src == (0, 0) else lists.pop(src) if take else lists[src][:]
+        x = step(x, _move(src, dst), width)
         if keep:
             lists[dst] = x
         for side in (1, -1):        # dst as t(m, n), then as 1/t(m, n)

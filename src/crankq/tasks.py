@@ -166,9 +166,12 @@ def _check_oracle(which: str, n_max: Optional[int] = None,
     return run_oracle(which, n_max, order)[2]
 
 
+# the (m, k) pairs that binom checks by default
+_BINOM_PAIRS = ((1, 1), (2, 1), (1, 2))
+
+
 def _binom_suite(order: int = 150,
-                 pairs: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (1, 2))
-                 ) -> CheckReport:
+                 pairs: tuple[tuple[int, int], ...] = _BINOM_PAIRS) -> CheckReport:
     for m, k in pairs:
         result = etaq.binomial_congruence_check(m, k, order)
         if not result.passed:
@@ -262,8 +265,8 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
     "theta-cubic": ("(3k+1)-weighted cubic sum equals f_2^5/f_1^2",
                     partial(theta.verify_theta_identity, order=200,
                             kind=ThetaKind.CUBIC_3K1)),
-    "binom": ("f_m^(5^k) = f_(5m)^(5^(k-1)) mod 5^k for (1,1), (2,1), (1,2)",
-              _binom_suite),
+    "binom": ("f_m^(5^k) = f_(5m)^(5^(k-1)) mod 5^k for "
+              + ", ".join(f"({m},{k})" for m, k in _BINOM_PAIRS), _binom_suite),
     # the P(m,n) system
     "rec35": ("n-step recurrence closes symbolically on the grid",
               partial(kalgebra.verify_recurrences, which="35")),

@@ -19,8 +19,9 @@ from enum import Enum
 from typing import Optional
 
 from .errors import CrankqError
-from .etaq import (SUMS, EtaQuotientSpec, SeriesName, eta_factors, eta_quotient,
-                   eta_series, factor_product, named_series, power_sum, rr_factors)
+from .etaq import (SUMS, EtaQuotientSpec, SeriesName, apply_factors, eta_factors,
+                   eta_quotient, eta_series, factor_product, named_series, plan_quotient,
+                   power_sums, rr_factors)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
@@ -66,23 +67,26 @@ def verify_theta_identity(kind: ThetaKind, order: int) -> CheckReport:
                                      order, [diff])
 
 
+# which -> (e, quotient, bracket): f_1^e is the quotient times the bracket,
+# a sum of c * q^s * R(q^5)^p over its (s, c, p) terms
+_DISSECTIONS = {
+    "31": (1, {25: 1}, [(0, 1, -1), (1, -1, 0), (2, -1, 1)]),
+    "32": (-1, {25: 5, 5: -6}, [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
+                                (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]),
+}
+
+
 def five_dissection_sides(order: int, which: str) -> tuple[Series, Series]:
     """Left and right side of the quintic dissection of f_1 ("31") or of
-    1/f_1 ("32").
-
-    Each bracket is a sum of c * q^s * R(q^5)^p over (s, c, p) triples.
-    """
-    r5 = rr_factors(5)
-    if which == "31":
-        three = [(0, 1, -1), (1, -1, 0), (2, -1, 1)]
-        return (eta_series({1: 1}, order),
-                eta_series({25: 1}, order) * power_sum(three, r5, order))
-    if which == "32":
-        nine = [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
-                (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]
-        return (named_series(SeriesName.P_PARTITION, order),
-                eta_series({25: 5, 5: -6}, order) * power_sum(nine, r5, order))
-    raise ValueError(f"unknown dissection selector {which!r}")
+    1/f_1 ("32"): the right side is the bracket from :func:`power_sums`,
+    multiplied in place by the quotient's planned passes."""
+    if which not in _DISSECTIONS:
+        raise ValueError(f"unknown dissection selector {which!r}")
+    e, quotient, bracket = _DISSECTIONS[which]
+    right = next(power_sums([bracket], rr_factors(5), order))
+    coeffs = list(right.coeffs)
+    apply_factors(coeffs, plan_quotient(EtaQuotientSpec.make(quotient)))
+    return eta_series({1: e}, order), Series(right.valuation, coeffs, order)
 
 
 def verify_5dissections(order: int, which: str) -> CheckReport:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from crankq import etaq, kalgebra, series
 from crankq.errors import CrankqError
 from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, Factor, SeriesName,
-                         apply_factors, climb, eta_factors, eta_quotient,
+                         apply_factors, eta_factors, eta_quotient,
                          eta_series, factor_product, named_series,
                          plan_quotient, rr_factors, rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
@@ -192,6 +192,18 @@ def test_theta_terms_of_f1_are_pentagonal():
 # ----------------------------------------------------------------------
 # the centre-out u/v walk that the hub walk replaced, kept verbatim as a
 # reference for values and for term-step counts
+
+def climb(coeffs: list[int], factors: list[Factor], steps: int) -> Iterator[list[int]]:
+    """Yield ``coeffs`` times X^0, X^1, ..., X^steps, X the product of
+    ``factors``, every step by passes (divided by X when ``steps`` is
+    negative).  One list is multiplied in place between yields, so a
+    caller that keeps a power keeps a copy."""
+    step = factors if steps >= 0 else [(name, m, -e) for name, m, e in factors]
+    yield coeffs
+    for _ in range(abs(steps)):
+        apply_factors(coeffs, step)
+        yield coeffs
+
 
 _U = rr_factors(1, 1) + rr_factors(2, 2)    # u = q R1 R2^2, without its q
 _V = rr_factors(1, 2) + rr_factors(2, -1)   # v = R1^2 / R2
@@ -614,8 +626,9 @@ def test_ladders_out_of_1_lay_out_their_first_step(monkeypatch):
     polys = [pmn(m, n) for m, n in PMN_GRID]
     assert grid_passes(monkeypatch, eval_at_K_many(polys, 400)) == 24
     # the tasks from an empty cache: dis31 and dis32 climb R(q^5) one and
-    # four steps each way, and combo456 climbs no ladder
-    for tid, passes in (("dis31", 2), ("dis32", 18), ("combo456", 0)):
+    # four steps each way, then run their quotient's passes on the bracket
+    # (f_25 one, f_25^5 / f_5^6 five), and combo456 climbs no ladder
+    for tid, passes in (("dis31", 3), ("dis32", 20), ("combo456", 0)):
         monkeypatch.setattr(etaq, "_CACHE", {})
         assert grid_passes(monkeypatch, map(partial(run_task, order=400), [tid])) == passes
 

@@ -83,6 +83,28 @@ def test_5dissections_preconditions():
         verify_5dissections(100, "33")
 
 
+# the right sides as the schoolbook route built them: quotient, then the
+# (s, c, p) terms of the bracket sum of c * q^s * R(q^5)^p
+SCHOOLBOOK_SIDES = {
+    "31": ({25: 1}, [(0, 1, -1), (1, -1, 0), (2, -1, 1)]),
+    "32": ({25: 5, 5: -6}, [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
+                            (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]),
+}
+
+
+@pytest.mark.parametrize("order", [25, 26, 150, 255, 256, 257, 511, 512, 513])
+@pytest.mark.parametrize("which", SCHOOLBOOK_SIDES)
+def test_dissection_right_side_matches_schoolbook_route(which, order):
+    # the bracket multiplied in place by the quotient's planned passes
+    # equals the dense quotient times the bracket, coefficient for
+    # coefficient
+    quotient, bracket = SCHOOLBOOK_SIDES[which]
+    want = eta_series(quotient, order) * next(etaq.power_sums(
+        [bracket], etaq.rr_factors(5), order))
+    got = five_dissection_sides(order, which)[1]
+    assert got == want and want.order == order
+
+
 def test_dissection_right_sides_multiply_to_one():
     order = 150
     f1_rhs = five_dissection_sides(order, "31")[1]
