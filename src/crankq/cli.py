@@ -2,13 +2,18 @@
 
 Exit status is 0 when everything asked for passed, 1 when any check
 failed (witnesses are printed), and 2 for usage or parse errors; a
-``verify`` run finishes every task before exiting 2.
+``verify`` run finishes every task before exiting 2.  When stdout is
+closed before the output is all written (``crankq report | head -1``),
+the run stops quietly with status 141 (128 + SIGPIPE, what a shell
+reports for a command that a closed pipe stops), which reads as neither
+a verdict nor a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -22,6 +27,7 @@ from .series import Series
 
 DEFAULT_ORDER = 300
 _USAGE_ERRORS = (CrankqError, ValueError, TypeError)
+EXIT_CLOSED_PIPE = 141
 
 
 def _series_from_args(args) -> Series:
@@ -204,10 +210,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()          # a closed pipe shows here, not at exit
+        return status
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

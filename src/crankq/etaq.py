@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import combinations_with_replacement
-from math import inf, sqrt
+from math import sqrt
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .report import CheckReport, first_mismatch
@@ -311,8 +312,7 @@ def _covers(r: int) -> list[list[tuple[float, int, list]]]:
     for each number of free passes f as (price of the row at f, b, row),
     cheapest first.
     """
-    rows = {move[0]: [(inf, inf, None)] * 3 for moves in _pair_moves().values()
-            for move in moves}
+    rows: dict[int, list] = {}
     for a, moves in _pair_moves().items():
         for t, s, made, u1, u2 in _make_up(r - a):
             for b, pair, price, d1, d2 in moves:
@@ -323,9 +323,14 @@ def _covers(r: int) -> list[list[tuple[float, int, list]]]:
                     one, two = d1, d1 + (d2 if d2 > u1 else u1)
                 else:
                     one, two = u1, u1 + (d1 if d1 > u2 else u2)
+                row = rows.get(b)
+                if row is None:     # the first candidate fills the row
+                    level = (pair, t, s)
+                    rows[b] = [(total, total, level), (total - one, total, level),
+                               (total - two, total, level)]
+                    continue
                 # unrolled over 0, 1 and 2 free passes: this is most of the
                 # planner's time
-                row = rows[b]
                 if total < row[0][0]:
                     row[0] = (total, total, (pair, t, s))
                 if total - one < row[1][0] or total - one == row[1][0] and total < row[1][1]:
@@ -411,11 +416,24 @@ def _multiplies_first(factors: Iterable[Factor]) -> list[Factor]:
     return sorted(factors, key=lambda factor: factor[2] < 0)
 
 
+# (generator, m) -> (n, the terms below q^n): the highest n asked for yet
+_STRETCHED: dict[tuple[Callable, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
+
+
 @cache
 def _stretched_terms(terms, m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The (m k, c) below q^n of the sum ``terms`` at q -> q^m.  Keyed by the
-    generator, so a replaced ``SUMS`` row is never served stale terms."""
-    return tuple((m * k, c) for k, c in terms(-(-n // m)))
+    """The (m k, c) below q^n of the sum ``terms`` at q -> q^m.
+
+    Each n is computed once.  The terms are generated only when n is
+    above every n asked for before with this generator and m; a lower n
+    is a prefix of those, cut where k reaches n.  Keyed by the generator,
+    so a replaced ``SUMS`` row is never served stale terms."""
+    top, stretched = _STRETCHED.get((terms, m), (0, ()))
+    if n > top:
+        stretched = tuple((m * k, c) for k, c in terms(-(-n // m)))
+        _STRETCHED[terms, m] = n, stretched
+        return stretched
+    return stretched[:bisect_left(stretched, (n,))]
 
 
 def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
@@ -502,7 +520,9 @@ class _Product:
     the terms of the second, with no pass: O(t0 t1) steps for sums of t0
     and t1 terms, in place of a pass of t1 n.  A plan from
     :func:`plan_quotient` lists its two dearest multiplies first, so
-    those are the two laid out.
+    those are the two laid out.  When a divide or nothing follows them,
+    an extension reads only their new entries, so it lays out only the
+    pairs of terms that land in n0..n-1.
     """
 
     def __init__(self, factors: Iterable[Factor], shift: int = 0,
@@ -513,8 +533,12 @@ class _Product:
         self.shift = shift
         self.source = source        # n -> first n coefficients; None is 1
         signs = [sign for _, _, sign in self.stages]
+        # stages 0..laid-1 are laid out; a divide or nothing after them
+        # reads only their new entries
+        self.laid = 0 if source is not None else min(2, signs.count(1))
+        self.partial = self.laid == len(signs) or signs[self.laid] < 0
         self.keep = [i + 1 < len(signs) and (sign < 0 or (
-            signs[i + 1] > 0 and (i > 1 or source is not None)))
+            signs[i + 1] > 0 and i >= self.laid))
             for i, sign in enumerate(signs)]
         self.kept: list[Optional[list[int]]] = [None] * len(self.stages)
         self.series: Optional[Series] = None
@@ -539,6 +563,7 @@ class _Product:
         n0 = 0 if final is None else final.order - self.shift
         prev = [1] + [0] * (n - 1) if self.source is None else self.source(n)
         support = ((0, 1),)         # the (k, c) of prev while it is laid out
+        lo = n0 if self.partial else 0      # the first laid-out entry read
         for i, (name, m, sign) in enumerate(self.stages):
             terms = _stretched_terms(SUMS[name][1], m, n)
             last = i + 1 == len(self.stages)
@@ -551,14 +576,16 @@ class _Product:
             if sign < 0:
                 cur = old + prev[n0:]
                 sparse_pass(cur, terms, -1, n0)
-            elif i < 2 and self.source is None:
+            elif i < self.laid:
                 cur = prev                  # one or two sparse sums, term by term
                 for j, b in support:
-                    for k, c in terms:
+                    for k, c in terms if j >= lo else terms[bisect_left(terms, (lo - j,)):]:
                         if j + k >= n:
                             break
                         cur[j + k] += b * c
                 support += terms
+                if last:
+                    cur[:n0] = old
             else:
                 cur = prev[:] if i and self.keep[i - 1] else prev
                 sparse_pass(cur, terms, 1, n0)

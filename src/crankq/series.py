@@ -37,6 +37,7 @@ without recomputing their prefix.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -180,25 +181,25 @@ class Series:
     __slots__ = ("valuation", "coeffs", "order")
 
     def __init__(self, valuation: int, coeffs: Iterable[int], order: int):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != order - valuation:
             raise ValueError(
                 f"coefficient window [{valuation}, {order}) needs "
                 f"{order - valuation} entries, got {len(coeffs)}"
             )
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be int, got {type(c).__name__}")
+        if not all(map(isinstance, coeffs, repeat(int))):
+            bad = next(c for c in coeffs if not isinstance(c, int))
+            raise TypeError(f"coefficients must be int, got {type(bad).__name__}")
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
         if lead == len(coeffs):
-            valuation, coeffs = order, []
+            valuation, coeffs = order, ()
         elif lead:
             valuation += lead
             coeffs = coeffs[lead:]
         self.valuation = valuation
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
         self.order = order
 
     # ------------------------------------------------------------------

@@ -293,19 +293,23 @@ def run_task(tid: str, order: Optional[int] = None, **kw) -> CheckReport:
     Every task accepts ``order``; the symbolic recurrence tasks have none
     and ignore it.  Unknown ids raise ValueError; parameters the task does
     not take, and an ``order`` below 1, raise :class:`CrankqError`.
+    The task's signature is read only when ``order`` or a keyword is
+    given; a call with neither (as in :func:`run_all`) runs the task at
+    its defaults without introspecting it.
     """
     entry = _REGISTRY.get(tid)
     if entry is None:
         raise ValueError(f"unknown task id {tid!r}; known ids: {', '.join(task_ids())}")
     runner = entry[1]
-    accepted = signature(runner).parameters
-    unsupported = sorted(set(kw) - set(accepted))
-    if unsupported:
-        raise CrankqError("unsupported parameter " + ", ".join(map(repr, unsupported)))
-    if order is not None and order < 1:
-        raise CrankqError(f"order must be >= 1, got {order}")
-    if order is not None and "order" in accepted:
-        kw["order"] = order
+    if order is not None or kw:
+        accepted = signature(runner).parameters
+        unsupported = sorted(set(kw) - set(accepted))
+        if unsupported:
+            raise CrankqError("unsupported parameter " + ", ".join(map(repr, unsupported)))
+        if order is not None and order < 1:
+            raise CrankqError(f"order must be >= 1, got {order}")
+        if order is not None and "order" in accepted:
+            kw["order"] = order
     started = perf_counter()
     report = runner(**kw)
     return replace(report, elapsed_ms=int((perf_counter() - started) * 1000))

@@ -1,10 +1,14 @@
 """Command-line behaviour: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from crankq.cli import main
+from crankq.cli import EXIT_CLOSED_PIPE, main
 from crankq.congruence import ORACLE_CAP
 
 
@@ -352,3 +356,59 @@ def test_inadmissible_p_is_usage_error(capsys, tid, p, residues):
     code, out, err = run(capsys, "verify", "--theorem", tid, "--p", str(p))
     assert (code, out) == (2, "")
     assert err == f"error: {tid}: p must be a prime in {residues}\n"
+
+
+# ----------------------------------------------------------------------
+# a reader that closes stdout early
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _crankq(*argv, stdout=subprocess.PIPE, unbuffered=False):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    flags = ["-u"] if unbuffered else []
+    return subprocess.Popen([sys.executable, *flags, "-m", "crankq", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_report_into_a_pipe_closed_after_the_first_line():
+    # as `crankq report --format json | head -1`: unbuffered, so each
+    # report line is its own write.  The 33 lines fit in a pipe, so the
+    # run may also finish before the reader goes (status 1, f52 fails).
+    proc = _crankq("report", "--format", "json", unbuffered=True)
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) in (EXIT_CLOSED_PIPE, 1)
+    assert first["task"] == "a51"
+    assert err == b""
+
+
+def test_expand_into_a_pipe_closed_after_twenty_bytes():
+    # as `crankq expand --series p --order 100000 | head -c 20`, at an
+    # order whose 2 MB line cannot fit in a pipe: the write must fail
+    proc = _crankq("expand", "--series", "p", "--order", "20000")
+    assert proc.stdout.read(20) == b"1, 1, 2, 3, 5, 7, 11"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["report", "--format", "json"],
+                                  ["expand", "--series", "p", "--order", "50"]],
+                         ids=["report", "expand"])
+def test_pipe_closed_before_any_output(argv, unbuffered):
+    # no reader at all: the first write fails, or with a buffered stdout
+    # the flush at the end of main, and both give the closed-pipe status
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _crankq(*argv, stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE
+    assert err == b""

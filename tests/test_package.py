@@ -1,6 +1,7 @@
 """Package-wide invariants: exported names resolve, one run of every
-task computes each coefficient of every cached series once and multiplies
-no two series, and the README's library tour runs as written."""
+task computes each coefficient of every cached series once, multiplies
+no two series and plans each eta quotient as pinned, run_task checks its
+arguments, and the README's library tour runs as written."""
 
 import importlib
 import pkgutil
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import crankq
-from crankq import etaq, tasks
+from crankq import etaq, kalgebra, tasks, theta
+from crankq.errors import CrankqError
 from crankq.series import Series
 
 
@@ -66,6 +68,91 @@ def test_no_task_multiplies_two_series(monkeypatch, order):
     monkeypatch.setattr(Series, "__mul__", spy_mul)
     tasks.run_all(order=order)
     assert products == []
+
+
+# (shift, factors) -> plan: every eta quotient the tasks plan, at their
+# defaults and at order 400, as the planner planned them before its
+# candidate loop was rewritten; a planner change must not move one
+# silently
+_PLANS = {
+    (-1, ((1, -1), (2, 1), (5, 5), (10, -5))):
+        (('triangular', 1, 1), ('pent', 5, 1), ('eta', 2, -1), ('jacobi', 10, -1)),
+    (0, ((1, -3), (2, 2))): (('squares', 2, 1), ('eta', 4, 1), ('jacobi', 1, -1)),
+    (0, ((1, -1),)): (('eta', 1, -1),),
+    (0, ((1, 1),)): (('eta', 1, 1),),
+    (0, ((1, 1), (2, 2))): (('eta', 1, 1), ('squares', 2, 1), ('eta', 4, 1)),
+    (0, ((1, 2), (2, -4), (5, 1), (10, 2))):
+        (('squares', 1, 1), ('eta', 5, 1), ('squares', 10, 1), ('eta', 20, 1),
+         ('jacobi', 2, -1)),
+    (0, ((1, 2), (2, -4), (5, 6))):
+        (('squares', 1, 1), ('jacobi', 5, 2), ('jacobi', 2, -1)),
+    (0, ((1, 3), (2, -2))): (('squares', 1, 1), ('eta', 1, 1), ('eta', 2, -1)),
+    (0, ((1, 3), (2, -2), (5, -1), (10, 2))):
+        (('squares', 1, 1), ('eta', 1, 1), ('triangular', 5, 1), ('eta', 2, -1)),
+    (0, ((1, 3), (2, 1))): (('jacobi', 1, 1), ('eta', 2, 1)),
+    (0, ((1, 4), (2, 2))):
+        (('jacobi', 1, 1), ('eta', 1, 1), ('squares', 2, 1), ('eta', 4, 1)),
+    (0, ((1, 5),)): (('pent', 1, 1), ('eta', 2, 2)),
+    (0, ((1, 25),)): (('pent', 1, 2), ('jacobi', 1, 5), ('jacobi', 2, 1), ('eta', 2, 1)),
+    (0, ((2, 2), (10, 2))):
+        (('squares', 2, 1), ('eta', 4, 1), ('squares', 10, 1), ('eta', 20, 1)),
+    (0, ((2, 5),)): (('pent', 2, 1), ('eta', 4, 2)),
+    (0, ((5, -6), (25, 5))): (('pent', 25, 1), ('eta', 50, 2), ('jacobi', 5, -2)),
+    (0, ((5, 1),)): (('eta', 5, 1),),
+    (0, ((5, 5),)): (('pent', 5, 1), ('eta', 10, 2)),
+    (0, ((10, 1),)): (('eta', 10, 1),),
+    (0, ((25, 1),)): (('eta', 25, 1),),
+    (1, ((1, 5), (2, -6), (5, -3), (10, 6))):
+        (('squares', 1, 1), ('eta', 1, 1), ('cubic', 5, 1), ('triangular', 5, 1),
+         ('cubic', 1, -1), ('eta', 10, -1)),
+    (1, ((2, -1), (5, -2), (10, 2))):
+        (('triangular', 5, 1), ('eta', 2, -1), ('eta', 5, -1)),
+    (1, ((2, -1), (5, -2), (10, 5))): (('cubic', 5, 1), ('eta', 2, -1)),
+    (2, ((1, 2), (5, -4), (10, 8))):
+        (('squares', 1, 1), ('eta', 2, 1), ('cubic', 5, 1), ('squares', 10, 1),
+         ('eta', 20, 1), ('squares', 5, -1)),
+    (2, ((1, 7), (2, -10), (5, -5), (10, 10))):
+        (('pent', 1, 1), ('cubic', 5, 2), ('cubic', 1, -1), ('jacobi', 2, -1),
+         ('eta', 5, -1)),
+}
+
+
+@pytest.mark.parametrize("order", [None, 400])
+def test_every_task_plan_is_pinned(monkeypatch, order):
+    plans = {}
+    plan_quotient = etaq.plan_quotient
+
+    def spy(spec):
+        plans[spec.shift, spec.factors] = plan = plan_quotient(spec)
+        return plan
+
+    for module in (etaq, theta, kalgebra):
+        monkeypatch.setattr(module, "plan_quotient", spy)
+    monkeypatch.setattr(etaq, "_CACHE", {})     # named series plan on a miss
+    if order is None:
+        tasks.run_all()
+    else:
+        for tid in tasks.task_ids():
+            if not tid.startswith("oracle-"):
+                tasks.run_task(tid, order=order)
+    assert plans == _PLANS
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tasks.run_task("thm12", p=3), "unsupported parameter 'p'"),
+    (lambda: tasks.run_task("rec35", order=0), "order must be >= 1, got 0"),
+], ids=["keyword", "order"])
+def test_run_task_checks_what_it_is_given(call, message):
+    with pytest.raises(CrankqError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_run_task_passes_order_only_to_tasks_that_take_it():
+    # the symbolic recurrences have no order and report 0 at any order
+    assert tasks.run_task("rec35", order=400).order == 0
+    assert tasks.run_task("rec35").order == 0
+    assert tasks.run_task("a51", order=40).order == 40
 
 
 def test_readme_tour_runs_as_written():

@@ -235,6 +235,24 @@ def test_constructor_validation():
         Series.monomial(1, 5, 5)
 
 
+@pytest.mark.parametrize("bad, name", [(1.0, "float"), ("1", "str"), (None, "NoneType")])
+def test_constructor_names_the_first_non_int_coefficient(bad, name):
+    with pytest.raises(TypeError) as info:
+        Series(0, [1, 2, bad, 2.5], 4)
+    assert str(info.value) == f"coefficients must be int, got {name}"
+
+
+def test_constructor_copies_any_iterable_once():
+    coeffs = [0, 1, -3, 2]
+    series = Series(0, coeffs, 4)
+    coeffs[1] = 7
+    coeffs.append(5)
+    assert (series.valuation, series.coeffs, series.order) == (1, (1, -3, 2), 4)
+    assert Series(0, (c for c in [0, 1, -3, 2]), 4) == series
+    assert Series(0, (0, 1, -3, 2), 4) == series
+    assert Series(0, [True, False], 2) == Series(0, [1, 0], 2)
+
+
 def test_truncate():
     a = f1(20)
     assert a.truncate(7).order == 7
