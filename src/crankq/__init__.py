@@ -4,25 +4,22 @@ The package revolves around four layers:
 
 * :mod:`crankq.series` -- truncated Laurent series over exact integers,
   the value type everything else computes with;
-* :mod:`crankq.etaq` and :mod:`crankq.theta` -- the named generating
-  functions (products of sparse theta factors, closed theta-style sums)
-  and the classical identities relating them;
+* :mod:`crankq.etaq` -- the named generating functions: products of
+  sparse theta factors, among them the closed theta-style sums;
 * :mod:`crankq.kalgebra` -- the symbolic Laurent algebra in the
   parameter K and the P(m,n) recurrence system, cross-validated against
   direct series evaluation;
 * :mod:`crankq.congruence` and :mod:`crankq.tasks` -- combinatorial
-  counting oracles, arithmetic-progression congruence scans and the registry of
-  verification tasks behind the ``crankq`` command line tool.
+  counting oracles, arithmetic-progression congruence scans, the table
+  of identities the paper rests on and the registry of verification
+  tasks behind the ``crankq`` command line tool.
 """
 
 from .errors import (CrankqError, EnumerationCapExceeded, InexactDivision,
                      NonUnitLeadingCoefficient, OrderExceeded)
 from .series import Series
-from .etaq import (EtaQuotientSpec, SeriesName, binomial_congruence_check,
-                   eta_quotient, eta_series, named_series, parse_quotient,
-                   rr_series, rr_stretch)
-from .theta import (ThetaKind, theta_sum, verify_5dissections,
-                    verify_K_identities, verify_theta_identity)
+from .etaq import (EtaQuotientSpec, SeriesName, ThetaKind, eta_quotient, eta_series,
+                   named_series, parse_quotient, rr_series, rr_stretch, theta_sum)
 from .kalgebra import (K, KPolynomial, PmnIndex, eval_at_K, eval_at_K_many, pmn,
                        pmn_series, pmn_series_grid, verify_combo_identity,
                        verify_recurrences, verify_series_agreement)
@@ -39,10 +36,8 @@ __all__ = [
     "NonUnitLeadingCoefficient", "OrderExceeded",
     "Series",
     "EtaQuotientSpec", "SeriesName",
-    "binomial_congruence_check", "eta_quotient", "eta_series", "named_series",
-    "parse_quotient", "rr_series", "rr_stretch",
-    "ThetaKind", "theta_sum", "verify_5dissections", "verify_K_identities",
-    "verify_theta_identity",
+    "ThetaKind", "eta_quotient", "eta_series", "named_series",
+    "parse_quotient", "rr_series", "rr_stretch", "theta_sum",
     "K", "KPolynomial", "PmnIndex", "eval_at_K", "eval_at_K_many", "pmn",
     "pmn_series", "pmn_series_grid",
     "verify_combo_identity", "verify_recurrences", "verify_series_agreement",

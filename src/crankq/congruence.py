@@ -18,15 +18,15 @@ oracle comparison excludes n = 1 and reports the discrepancy explicitly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 from .errors import CrankqError, EnumerationCapExceeded, InexactDivision
-from .etaq import SUMS, SeriesName, named_series, resolve_name
+from .etaq import SUMS, SeriesName, ThetaKind, _stretched_terms, named_series, resolve_name
 from .report import CheckReport
 from .series import Series
-from .theta import ThetaKind
 
 __all__ = [
     "crank_parity_oracle",
@@ -198,8 +198,10 @@ def weighted_sum(family: CongruenceFamily, n: int,
     if family.weight is None:
         total = series.coeff(base)
     else:
-        terms = [(0, 1), *SUMS[family.weight.value][1](base // family.scale + 1)]
-        total = sum(w * series.coeff(base - family.scale * e) for e, w in terms)
+        # one list of terms at q -> q^scale for every step of a scan
+        terms = _stretched_terms(SUMS[family.weight.value][1], family.scale, series.order)
+        total = series.coeff(base) + sum(
+            w * series.coeff(base - s) for s, w in terms[:bisect_left(terms, (base + 1,))])
     if family.pre_divisor == 1:
         return total
     quot, rem = divmod(total, family.pre_divisor)

@@ -11,7 +11,7 @@ and a negative power divides.
 
 Six of the sums are eta quotients on a level pair, f_m^a f_2m^b: f_m
 itself, Jacobi's cube f_m^3, psi, phi(-q) and the two weighted sums of
-:class:`~crankq.theta.ThetaKind`.  :func:`plan_quotient` rewrites each
+:class:`ThetaKind`.  :func:`plan_quotient` rewrites each
 eta quotient into the cheapest product of them: each pass priced by its
 terms and its kernel path (unit or weighted row, multiply or divide),
 and the two dearest multiplies free, since they come first and
@@ -45,7 +45,6 @@ from itertools import combinations_with_replacement
 from math import sqrt
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .report import CheckReport, first_mismatch
 from .series import Series, sparse_pass
 
 __all__ = [
@@ -54,6 +53,8 @@ __all__ = [
     "eta_quotient",
     "eta_series",
     "SUMS",
+    "ThetaKind",
+    "theta_sum",
     "theta_terms",
     "eta_factors",
     "rr_factors",
@@ -66,7 +67,6 @@ __all__ = [
     "rr_series",
     "rr_stretch",
     "named_series",
-    "binomial_congruence_check",
     "parse_quotient",
 ]
 
@@ -124,10 +124,6 @@ def resolve_name(name: Union[SeriesName, str]) -> SeriesName:
     try:
         return SeriesName(name)
     except ValueError:
-        pass
-    try:
-        return SeriesName[name]
-    except KeyError:
         raise ValueError(f"unknown series name {name!r}") from None
 
 
@@ -174,8 +170,8 @@ def theta_terms(p: int, r: int, order: int) -> list[tuple[int, int]]:
 
 
 # name -> (exponents, terms).  With exponents (a, b) the sum at q -> q^m is
-# f_m^a f_2m^b: these rows are the planner's table, and theta.theta_sum
-# and the congruence scans read the same generators.  The two halves of
+# f_m^a f_2m^b: these rows are the planner's table, and theta_sum and
+# the congruence scans read the same generators.  The two halves of
 # R(q) = T(5, 3) / T(5, 1) (Jacobi triple product) have no such form.
 SUMS: dict[str, tuple[Optional[tuple[int, int]], Callable[[int], list[tuple[int, int]]]]] = {
     # Euler: sum_k (-1)^k q^(k(3k-1)/2) = f_1
@@ -198,6 +194,23 @@ SUMS: dict[str, tuple[Optional[tuple[int, int]], Callable[[int], list[tuple[int,
     "rr-num": (None, partial(theta_terms, 5, 3)),   # f(-q, -q^4)
     "rr-den": (None, partial(theta_terms, 5, 1)),   # f(-q^2, -q^3)
 }
+
+
+class ThetaKind(Enum):
+    """The weighted sums with a registry task; each value names its row of
+    :data:`SUMS`."""
+
+    TRIANGULAR = "triangular"
+    SQUARES = "squares"
+    PENT_6K1 = "pent"
+    CUBIC_3K1 = "cubic"
+
+
+def theta_sum(kind: ThetaKind, order: int) -> Series:
+    """Sum weight(k) q^exponent(k) over every k whose exponent is below order."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return factor_product([(kind.value, 1, 1)], order)
 
 
 def eta_factors(spec: EtaQuotientSpec) -> list[Factor]:
@@ -239,7 +252,7 @@ _Key = tuple[float, float]
 
 @cache
 def _term_count(name: str) -> int:
-    return len(SUMS[name][1](_COST_ORDER))
+    return len(_stretched_terms(SUMS[name][1], 1, _COST_ORDER))
 
 
 def factor_cost(factors: Iterable[Factor]) -> float:
@@ -252,7 +265,7 @@ def factor_cost(factors: Iterable[Factor]) -> float:
 def _prices(name: str) -> tuple[int, ...]:
     """(multiply, divide): the price of one pass of a sum at q -> q^1, its
     terms below 2^12 times the price of a term-step on its kernel path."""
-    terms = SUMS[name][1](_COST_ORDER)
+    terms = _stretched_terms(SUMS[name][1], 1, _COST_ORDER)
     weighted = any(abs(c) != 1 for _, c in terms)
     return tuple(len(terms) * price for price in _PRICES[weighted])
 
@@ -655,17 +668,6 @@ def named_series(name: Union[SeriesName, str], order: int) -> Series:
     if order < 1:
         raise ValueError("order must be >= 1")
     return _lookup(name, order)
-
-
-def binomial_congruence_check(m: int, k: int, order: int) -> CheckReport:
-    """Verify f_m^(5^k) = f_{5m}^(5^(k-1)) mod 5^k coefficient-wise."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
-    modulus = 5 ** k
-    diff = first_mismatch(eta_series({m: 5 ** k}, order),
-                          eta_series({5 * m: 5 ** (k - 1)}, order), modulus=modulus)
-    params = {"m": m, "k": k, "modulus": modulus}
-    return CheckReport.from_failures("binom", params, order, [diff])
 
 
 _QUOTIENT_TOKEN = re.compile(r"^(?:q\^(-?\d+)|f(\d+)(?:\^(-?\d+))?)$")

@@ -1,10 +1,14 @@
 """Registry of every verification task under its stable id.
 
-This module is the one place a task id is bound to its check.  The
-named claims of the paper (congruence families, column reductions,
-oracle comparisons) are defined here on top of the reusable machinery of
-:mod:`~crankq.congruence`; the series identities bind the checks of
-:mod:`~crankq.theta`, :mod:`~crankq.kalgebra` and :mod:`~crankq.etaq`.
+This module is the one place a task id is bound to its check, and a
+check that serves several ids is bound to each by position, so no id
+can be made to run another's.  The named claims of the paper are
+defined here on top of :mod:`~crankq.congruence`, and so are the series
+identities: each eta-quotient identity a task checks is an
+:class:`Identity` row of :data:`IDENTITIES`.  The checks the planner
+relies on (``theta-*``, ``k33``, ``k34``) build their reference side by
+the plain route, |e| passes of f_m, never by a plan that could use the
+identity being checked.  The P(m,n) checks live in :mod:`~crankq.kalgebra`.
 
 Each task is a zero-config callable returning a :class:`CheckReport`;
 passing ``order=N`` rescales it (identity tasks compare up to N,
@@ -17,22 +21,100 @@ place a task is run and timed.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import partial
 from inspect import signature
 from time import perf_counter
 from typing import Callable, Optional
 
-from . import etaq, kalgebra, theta
+from . import kalgebra
 from .congruence import (ORACLES, CongruenceFamily, _n_max_for,
                          check_progression, cooper_hirschhorn_check,
                          oracle_rows, prime_shift, solve_24n_condition)
 from .errors import CrankqError
-from .etaq import SeriesName, named_series
-from .report import CheckReport
-from .theta import IDENTITIES, ThetaKind
+from .etaq import (SUMS, EtaQuotientSpec, SeriesName, ThetaKind, apply_factors,
+                   eta_factors, eta_quotient, eta_series, factor_product, named_series,
+                   plan_quotient, power_sums, rr_factors, theta_sum)
+from .report import CheckReport, first_mismatch
+from .series import Series
 
-__all__ = ["task_ids", "describe", "run_task", "run_all", "run_oracle"]
+__all__ = ["Identity", "IDENTITIES", "task_ids", "describe", "run_task", "run_all",
+           "run_oracle"]
+
+
+def _plain(spec: EtaQuotientSpec, order: int) -> Series:
+    """The eta quotient by the plain route, which uses no identity."""
+    return factor_product(eta_factors(spec), order, spec.shift)
+
+
+def _power(base: str, e: int) -> str:
+    return base if e == 1 else f"{base}^{e}"
+
+
+@dataclass(frozen=True)
+class Identity:
+    """The (m, r) column of a named series, sum of c(m n + r) q^n, equals
+    the sum of c * spec over ``terms`` (mod ``modulus``, if given).  Each
+    spec carries its power of q; the empty spec is the constant 1.  A
+    ``plain`` row builds its target by the plain route, not the planner."""
+
+    series: SeriesName
+    m: int
+    r: int
+    terms: tuple[tuple[int, EtaQuotientSpec], ...]
+    modulus: Optional[int] = None
+    plain: bool = False
+
+    def mismatch(self, order: int) -> Optional[dict[str, int]]:
+        """:func:`first_mismatch` of the two sides below ``order``, or None."""
+        top = max(spec.shift for _, spec in self.terms)
+        if order <= top:
+            raise CrankqError(f"order must be >= {top + 1}, got {order}")
+        column = named_series(self.series, self.m * order + self.r)
+        build = _plain if self.plain else eta_quotient
+        target = sum(build(spec, order) * c for c, spec in self.terms)
+        return first_mismatch(column.extract(self.m, self.r), target, modulus=self.modulus)
+
+    def _one_term(self) -> tuple[int, tuple[tuple[int, int], ...], str]:
+        (c, spec), = self.terms
+        return c, spec.factors, f"{self.series.value}({self.m}n+{self.r})"
+
+    def statement(self) -> str:
+        """A one-term row as an equation: ``C(5n+4) = 5*f1^2*f5*f10^2/f2^4``."""
+        c, factors, column = self._one_term()
+        up = "*".join(_power(f"f{m}", e) for m, e in factors if e > 0)
+        down = "*".join(_power(f"f{m}", -e) for m, e in factors if e < 0)
+        return f"{column} = {c}*{up}" + (f"/{down}" if down else "")
+
+    def reduction(self) -> str:
+        """A one-term row as a reduction: ``a(5n+1) column is 3 f_1 f_2^2 mod 5``."""
+        c, factors, column = self._one_term()
+        body = " ".join(_power(f"f_{m}", e) for m, e in factors)
+        return f"{column} column is {f'{c} ' if c != 1 else ''}{body} mod {self.modulus}"
+
+
+_spec = EtaQuotientSpec.make
+# shared by the quoted f(5n+2) reduction and its repaired forms
+_F52_HEAD = (1, _spec({1: 3, 2: -2, 5: -1, 10: 2}))
+_F52_TAIL = (5, _spec({1: 2, 5: -4, 10: 8}, 2))
+
+# task id, or task id and form -> the identity the task checks
+IDENTITIES: dict[str, Identity] = {
+    "thm12": Identity(SeriesName.C_CRANK, 5, 4, ((5, _spec({1: 2, 2: -4, 5: 1, 10: 2})),)),
+    "a51": Identity(SeriesName.A_RECIP, 5, 1, ((3, _spec({1: 1, 2: 2})),), modulus=5),
+    "a54": Identity(SeriesName.A_CAP, 5, 4, ((1, _spec({2: 2, 10: 2})),), modulus=5),
+    "f52": Identity(SeriesName.F_CONV, 5, 2, (
+        _F52_HEAD, (-5, _spec({2: -1, 5: -2, 10: 2}, 1)), _F52_TAIL), modulus=25),
+    "f52-exact": Identity(SeriesName.F_CONV, 5, 2, (
+        _F52_HEAD, (-5, _spec({1: 5, 2: -6, 5: -3, 10: 6}, 1)),
+        (5, _spec({1: 7, 2: -10, 5: -5, 10: 10}, 2)))),
+    "f52-mod25": Identity(SeriesName.F_CONV, 5, 2, (
+        _F52_HEAD, (-5, _spec({2: -1, 5: -2, 10: 5}, 1)), _F52_TAIL), modulus=25),
+    "k33": Identity(SeriesName.K_PARAM, 1, 0, (
+        (1, _spec({1: -2, 2: 4, 5: 2, 10: -4}, -1)), (-1, _spec({}))), plain=True),
+    "k34": Identity(SeriesName.K_PARAM, 1, 0, (
+        (1, _spec({1: 3, 2: -1, 5: 1, 10: -3}, -1)), (4, _spec({}))), plain=True),
+}
 
 
 def _check_family(tid: str, family: CongruenceFamily, default: int,
@@ -166,16 +248,70 @@ def _check_oracle(which: str, n_max: Optional[int] = None,
     return run_oracle(which, n_max, order)[2]
 
 
+def _check_k(which: str, order: int = 150) -> CheckReport:
+    """K + 1 ("33") or K - 4 ("34") against its eta quotient."""
+    if order < 10:
+        raise ValueError("order must be >= 10")
+    diff = IDENTITIES[f"k{which}"].mismatch(order)
+    return CheckReport.from_failures(f"k{which}", {"which": which}, order,
+                                     [diff and {"identity": which, **diff}])
+
+
+def _check_theta(kind: ThetaKind, order: int = 200) -> CheckReport:
+    """The closed-form sum against its eta quotient f_1^a f_2^b."""
+    a, b = SUMS[kind.value][0]
+    quotient = _plain(EtaQuotientSpec.make({1: a, 2: b}), order)
+    diff = first_mismatch(theta_sum(kind, order), quotient, keys=("sum", "quotient"))
+    return CheckReport.from_failures(f"theta-{kind.value}", {"kind": kind.value},
+                                     order, [diff])
+
+
+# which -> (e, quotient, bracket): f_1^e is the quotient times the bracket,
+# a sum of c * q^s * R(q^5)^p over its (s, c, p) terms
+_DISSECTIONS = {
+    "31": (1, {25: 1}, [(0, 1, -1), (1, -1, 0), (2, -1, 1)]),
+    "32": (-1, {25: 5, 5: -6}, [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
+                                (5, -3, 1), (6, 2, 2), (7, -1, 3), (8, 1, 4)]),
+}
+
+
+def _dissection_sides(which: str, order: int) -> tuple[Series, Series]:
+    """Left and right side of the quintic dissection of f_1 ("31") or of
+    1/f_1 ("32"): the right side is the bracket from :func:`power_sums`,
+    multiplied in place by the quotient's planned passes."""
+    e, quotient, bracket = _DISSECTIONS[which]
+    right = next(power_sums([bracket], rr_factors(5), order))
+    coeffs = list(right.coeffs)
+    apply_factors(coeffs, plan_quotient(EtaQuotientSpec.make(quotient)))
+    return eta_series({1: e}, order), Series(right.valuation, coeffs, order)
+
+
+def _check_dissection(which: str, order: int = 150) -> CheckReport:
+    """The quintic dissection as an exact series equality."""
+    if order < 25:
+        raise ValueError("order must be >= 25 so f_25 contributes")
+    diff = first_mismatch(*_dissection_sides(which, order))
+    return CheckReport.from_failures(f"dis{which}", {"which": which}, order,
+                                     [diff and {"identity": which, **diff}])
+
+
 # the (m, k) pairs that binom checks by default
 _BINOM_PAIRS = ((1, 1), (2, 1), (1, 2))
 
 
 def _binom_suite(order: int = 150,
                  pairs: tuple[tuple[int, int], ...] = _BINOM_PAIRS) -> CheckReport:
+    """f_m^(5^k) = f_5m^(5^(k-1)) mod 5^k coefficient-wise for each (m, k)
+    of ``pairs``; the first pair that fails is the report."""
     for m, k in pairs:
-        result = etaq.binomial_congruence_check(m, k, order)
-        if not result.passed:
-            return result
+        if m < 1 or k < 1:
+            raise ValueError("m and k must be positive")
+        modulus = 5 ** k
+        diff = first_mismatch(eta_series({m: modulus}, order),
+                              eta_series({5 * m: modulus // 5}, order), modulus=modulus)
+        if diff:
+            return CheckReport.from_failures("binom", {"m": m, "k": k, "modulus": modulus},
+                                             order, [diff])
     params = {"pairs": [list(p) for p in pairs]}
     return CheckReport.from_failures("binom", params, order, [])
 
@@ -246,32 +382,26 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
                        partial(_check_oracle, "colored")),
     # series identities
     "dis31": ("quintic dissection of the Euler product",
-              partial(theta.verify_5dissections, order=150, which="31")),
+              partial(_check_dissection, "31")),
     "dis32": ("quintic dissection of the reciprocal Euler product",
-              partial(theta.verify_5dissections, order=150, which="32")),
-    "k33": ("K + 1 equals its eta quotient",
-            partial(theta.verify_K_identities, order=150, which="33")),
-    "k34": ("K - 4 equals its eta quotient",
-            partial(theta.verify_K_identities, order=150, which="34")),
+              partial(_check_dissection, "32")),
+    "k33": ("K + 1 equals its eta quotient", partial(_check_k, "33")),
+    "k34": ("K - 4 equals its eta quotient", partial(_check_k, "34")),
     "theta-triangular": ("triangular sum equals f_2^2/f_1",
-                         partial(theta.verify_theta_identity, order=200,
-                                 kind=ThetaKind.TRIANGULAR)),
+                         partial(_check_theta, ThetaKind.TRIANGULAR)),
     "theta-squares": ("alternating square sum equals f_1^2/f_2",
-                      partial(theta.verify_theta_identity, order=200,
-                              kind=ThetaKind.SQUARES)),
+                      partial(_check_theta, ThetaKind.SQUARES)),
     "theta-pent": ("(6k+1)-weighted pentagonal sum equals f_1^5/f_2^2",
-                   partial(theta.verify_theta_identity, order=200,
-                           kind=ThetaKind.PENT_6K1)),
+                   partial(_check_theta, ThetaKind.PENT_6K1)),
     "theta-cubic": ("(3k+1)-weighted cubic sum equals f_2^5/f_1^2",
-                    partial(theta.verify_theta_identity, order=200,
-                            kind=ThetaKind.CUBIC_3K1)),
+                    partial(_check_theta, ThetaKind.CUBIC_3K1)),
     "binom": ("f_m^(5^k) = f_(5m)^(5^(k-1)) mod 5^k for "
               + ", ".join(f"({m},{k})" for m, k in _BINOM_PAIRS), _binom_suite),
     # the P(m,n) system
     "rec35": ("n-step recurrence closes symbolically on the grid",
-              partial(kalgebra.verify_recurrences, which="35")),
+              partial(kalgebra.verify_recurrences, "35")),
     "rec36": ("m-step recurrence closes symbolically on the grid",
-              partial(kalgebra.verify_recurrences, which="36")),
+              partial(kalgebra.verify_recurrences, "36")),
     "pmn-eval": ("symbolic P(m,n) matches direct R-series evaluation",
                  kalgebra.verify_series_agreement),
     "combo456": ("five-term P-combination identity plus micro-identities",

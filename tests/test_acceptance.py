@@ -16,12 +16,9 @@ separately and does hold; see ``f52-corrected``.
 
 import json
 
-from crankq.etaq import binomial_congruence_check
 from crankq.kalgebra import (verify_combo_identity, verify_recurrences,
                              verify_series_agreement)
 from crankq.tasks import run_task
-from crankq.theta import (ThetaKind, verify_5dissections, verify_K_identities,
-                          verify_theta_identity)
 
 from oracles import naive_euler, naive_inv, naive_mul, naive_pow
 
@@ -122,17 +119,17 @@ def test_criterion_7_closing_congruences():
 def test_criterion_8_identity_suite():
     criterion(8, "quintic dissections, K identities, four closed sums, "
                  "binomial congruences",
-              verify_5dissections(150, "31"),
-              verify_5dissections(150, "32"),
-              verify_K_identities(150, "33"),
-              verify_K_identities(150, "34"),
-              verify_theta_identity(ThetaKind.TRIANGULAR, 200),
-              verify_theta_identity(ThetaKind.SQUARES, 200),
-              verify_theta_identity(ThetaKind.PENT_6K1, 200),
-              verify_theta_identity(ThetaKind.CUBIC_3K1, 200),
-              binomial_congruence_check(1, 1, 150),
-              binomial_congruence_check(2, 1, 150),
-              binomial_congruence_check(1, 2, 150))
+              run_task("dis31", order=150),
+              run_task("dis32", order=150),
+              run_task("k33", order=150),
+              run_task("k34", order=150),
+              run_task("theta-triangular", order=200),
+              run_task("theta-squares", order=200),
+              run_task("theta-pent", order=200),
+              run_task("theta-cubic", order=200),
+              run_task("binom", order=150, pairs=((1, 1),)),
+              run_task("binom", order=150, pairs=((2, 1),)),
+              run_task("binom", order=150, pairs=((1, 2),)))
 
 
 def test_criterion_9_pmn_system():

@@ -42,6 +42,13 @@ def test_expand_json(capsys):
     assert payload["start_exponent"] == 0
 
 
+def test_enum_member_names_are_not_series_names(capsys):
+    # a series is named by its value ("C"), never by its enum member name
+    code, out, err = run(capsys, "expand", "--series", "C_CRANK", "--order", "6")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: unknown series name 'C_CRANK'"
+
+
 def test_dissect(capsys):
     code, out, _ = run(capsys, "dissect", "--series", "p", "--m", "5",
                        "--r", "4", "--order", "20")

@@ -2,15 +2,14 @@
 
 import pytest
 
-from crankq import etaq, series, theta
+from crankq import etaq, series
 from crankq.congruence import (ORACLE_CAP, CongruenceFamily, check_progression,
                                colored_partition_oracle,
                                cooper_hirschhorn_check, crank_parity_oracle,
                                oracle_rows, solve_24n_condition, weighted_sum)
 from crankq.errors import EnumerationCapExceeded, InexactDivision, OrderExceeded
-from crankq.etaq import SeriesName, named_series
+from crankq.etaq import SeriesName, ThetaKind, named_series, theta_sum
 from crankq.tasks import run_task, task_ids
-from crankq.theta import ThetaKind, theta_sum
 
 from oracles import colored_count, crank_of, crank_parity, enum_partitions
 
@@ -49,8 +48,8 @@ def test_counts_match_series_up_to_cap():
 @pytest.mark.parametrize("count", [crank_parity_oracle, colored_partition_oracle])
 def test_counts_use_no_series_code(count):
     # the oracles check the series kernel, so they may not be built on it
-    kernel = {"series", "etaq", "theta"}
-    for module in (series, etaq, theta):
+    kernel = {"series", "etaq"}
+    for module in (series, etaq):
         kernel |= {name for name in vars(module) if not name.startswith("__")}
     assert not set(count.__code__.co_names) & kernel
 

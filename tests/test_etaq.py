@@ -3,11 +3,11 @@
 import pytest
 
 from crankq.errors import InexactDivision
-from crankq.etaq import (EtaQuotientSpec, SeriesName,
-                         binomial_congruence_check, eta_quotient, eta_series,
+from crankq.etaq import (EtaQuotientSpec, SeriesName, eta_quotient, eta_series,
                          factor_product, named_series, parse_quotient,
                          rr_series, rr_stretch)
 from crankq.series import Series
+from crankq.tasks import run_task
 
 from oracles import (RR_TERMS, colored_count, naive_euler, naive_mul,
                      naive_residue_product)
@@ -136,9 +136,9 @@ def test_unknown_name_rejected():
 # binomial congruence
 
 def test_binomial_congruence_base_cases():
-    assert binomial_congruence_check(1, 1, 200).passed
-    assert binomial_congruence_check(2, 2, 150).passed
-    assert binomial_congruence_check(1, 2, 150).passed
+    assert run_task("binom", order=200, pairs=((1, 1),)).passed
+    assert run_task("binom", order=150, pairs=((2, 2),)).passed
+    assert run_task("binom", order=150, pairs=((1, 2),)).passed
 
 
 def test_binomial_congruence_witness_machinery():
@@ -151,9 +151,9 @@ def test_binomial_congruence_witness_machinery():
 
 def test_binomial_congruence_validation():
     with pytest.raises(ValueError):
-        binomial_congruence_check(0, 1, 50)
+        run_task("binom", order=50, pairs=((0, 1),))
     with pytest.raises(ValueError):
-        binomial_congruence_check(1, 0, 50)
+        run_task("binom", order=50, pairs=((1, 0),))
 
 
 # ----------------------------------------------------------------------

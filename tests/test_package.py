@@ -1,9 +1,12 @@
 """Package-wide invariants: exported names resolve, one run of every
 task computes each coefficient of every cached series once, multiplies
 no two series and plans each eta quotient as pinned, run_task checks its
-arguments, and the README's library tour runs as written."""
+arguments, a task id runs only its own check, the report and the task
+outcomes match the benchmark's golden file, and the README's library
+tour runs as written."""
 
 import importlib
+import json
 import pkgutil
 from collections import defaultdict
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import crankq
-from crankq import etaq, kalgebra, tasks, theta
+from crankq import ThetaKind, cli, etaq, kalgebra, tasks
 from crankq.errors import CrankqError
 from crankq.series import Series
 
@@ -126,7 +129,7 @@ def test_every_task_plan_is_pinned(monkeypatch, order):
         plans[spec.shift, spec.factors] = plan = plan_quotient(spec)
         return plan
 
-    for module in (etaq, theta, kalgebra):
+    for module in (etaq, tasks, kalgebra):
         monkeypatch.setattr(module, "plan_quotient", spy)
     monkeypatch.setattr(etaq, "_CACHE", {})     # named series plan on a miss
     if order is None:
@@ -146,6 +149,30 @@ def test_run_task_checks_what_it_is_given(call, message):
     with pytest.raises(CrankqError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tid, name, value", [
+    ("k33", "which", "34"), ("dis31", "which", "32"), ("rec35", "which", "36"),
+    ("theta-pent", "kind", ThetaKind.SQUARES)])
+def test_a_task_id_runs_only_its_own_check(tid, name, value):
+    # each table row or key is bound to its id positionally, so no
+    # keyword can make one id run another id's check
+    with pytest.raises(CrankqError) as info:
+        tasks.run_task(tid, **{name: value})
+    assert str(info.value) == f"unsupported parameter {name!r}"
+
+
+def test_report_and_task_outcomes_match_the_golden_file(capsys):
+    # the outputs the benchmark checks against benchmarks/golden.json:
+    # the report byte for byte with its exit code, and each non-oracle
+    # task's outcome and witness at order 400
+    golden = json.loads((Path(__file__).parents[1] / "benchmarks" / "golden.json").read_text())
+    rc = cli.main(["report", "--format", "json"])
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert {"rc": rc, "lines": lines} == golden["report"]["report"]
+    for tid, want in golden["verify-order"].items():
+        report = tasks.run_task(tid, order=400)
+        assert {"outcome": report.outcome, "witness": report.witness} == want, tid
 
 
 def test_run_task_passes_order_only_to_tasks_that_take_it():

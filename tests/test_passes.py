@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from crankq import etaq, kalgebra, series
 from crankq.errors import CrankqError
 from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, Factor, SeriesName,
-                         apply_factors, eta_factors, eta_quotient,
+                         ThetaKind, apply_factors, eta_factors, eta_quotient,
                          eta_series, factor_product, named_series,
                          plan_quotient, rr_factors, rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
@@ -33,7 +33,6 @@ from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
 from crankq.report import first_mismatch
 from crankq.series import Series, sparse_pass
 from crankq.tasks import run_task
-from crankq.theta import ThetaKind
 
 from oracles import (RR_TERMS, naive_euler, naive_inv, naive_mul, naive_pow,
                      naive_residue_product)

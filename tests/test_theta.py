@@ -5,13 +5,12 @@ from inspect import signature
 
 import pytest
 
-from crankq import etaq, tasks, theta
+from crankq import etaq, tasks
 from crankq.errors import CrankqError
-from crankq.etaq import EtaQuotientSpec, eta_series, named_series, rr_stretch
+from crankq.etaq import (EtaQuotientSpec, ThetaKind, eta_series, named_series, rr_stretch,
+                         theta_sum)
 from crankq.series import Series
-from crankq.theta import (IDENTITIES, ThetaKind, five_dissection_sides, theta_sum,
-                          verify_5dissections, verify_K_identities,
-                          verify_theta_identity)
+from crankq.tasks import IDENTITIES, run_task
 
 
 def test_triangular_sum_small():
@@ -48,11 +47,11 @@ def test_squares_coeff_range():
 
 @pytest.mark.parametrize("kind", list(ThetaKind))
 def test_theta_identities_at_300(kind):
-    assert verify_theta_identity(kind, 300).passed
+    assert run_task(f"theta-{kind.value}", order=300).passed
 
 
 def test_theta_identity_minimal_window():
-    assert verify_theta_identity(ThetaKind.SQUARES, 1).passed
+    assert run_task("theta-squares", order=1).passed
 
 
 # ----------------------------------------------------------------------
@@ -61,7 +60,7 @@ def test_theta_identity_minimal_window():
 def test_5dissections_pass():
     for which in ("31", "32"):
         for order in (150, 26):
-            report = verify_5dissections(order, which)
+            report = run_task(f"dis{which}", order=order)
             assert report.passed and report.task == f"dis{which}"
             assert (report.params, report.order) == ({"which": which}, order)
 
@@ -70,7 +69,7 @@ def test_5dissection_fault_injection():
     # replace the 5 q^4 bracket coefficient of the reciprocal dissection
     # by 4: the comparison must fail exactly at exponent 4
     order = 150
-    lhs, rhs = five_dissection_sides(order, "32")
+    lhs, rhs = tasks._dissection_sides("32", order)
     corrupted = rhs - eta_series({25: 5, 5: -6}, order).shift(4)
     assert lhs.first_diff(corrupted) == 4
     assert lhs.first_diff(rhs) is None
@@ -78,9 +77,7 @@ def test_5dissection_fault_injection():
 
 def test_5dissections_preconditions():
     with pytest.raises(ValueError):
-        verify_5dissections(24, "31")
-    with pytest.raises(ValueError):
-        verify_5dissections(100, "33")
+        run_task("dis31", order=24)
 
 
 # the right sides as the schoolbook route built them: quotient, then the
@@ -101,14 +98,14 @@ def test_dissection_right_side_matches_schoolbook_route(which, order):
     quotient, bracket = SCHOOLBOOK_SIDES[which]
     want = eta_series(quotient, order) * next(etaq.power_sums(
         [bracket], etaq.rr_factors(5), order))
-    got = five_dissection_sides(order, which)[1]
+    got = tasks._dissection_sides(which, order)[1]
     assert got == want and want.order == order
 
 
 def test_dissection_right_sides_multiply_to_one():
     order = 150
-    f1_rhs = five_dissection_sides(order, "31")[1]
-    reciprocal_rhs = five_dissection_sides(order, "32")[1]
+    f1_rhs = tasks._dissection_sides("31", order)[1]
+    reciprocal_rhs = tasks._dissection_sides("32", order)[1]
     assert (f1_rhs * reciprocal_rhs).agree(Series.const(1, order))
 
 
@@ -118,7 +115,7 @@ def test_dissection_right_sides_multiply_to_one():
 def test_k_identities_pass():
     for which in ("33", "34"):
         for order in (150, 10):
-            report = verify_K_identities(order, which)
+            report = run_task(f"k{which}", order=order)
             assert report.passed and report.task == f"k{which}"
             assert (report.params, report.order) == ({"which": which}, order)
 
@@ -134,9 +131,7 @@ def test_k_identity_fault_injection():
 
 def test_k_identities_preconditions():
     with pytest.raises(ValueError):
-        verify_K_identities(9, "33")
-    with pytest.raises(ValueError):
-        verify_K_identities(100, "35")
+        run_task("k33", order=9)
 
 
 def test_rr_stretch_consistency():
@@ -175,7 +170,7 @@ def test_identity_row_mutant_is_refuted(row):
 def test_statements_are_rendered_from_their_rows():
     # byte for byte the text that the report and `crankq list` printed as
     # prose, and a changed row changes it
-    assert tasks.run_task("thm12", order=20).params == {
+    assert run_task("thm12", order=20).params == {
         "identity": "C(5n+4) = 5*f1^2*f5*f10^2/f2^4"}
     assert tasks.describe("a51") == "a(5n+1) column is 3 f_1 f_2^2 mod 5"
     assert tasks.describe("a54") == ("A(5n+4) column is f_2^2 f_10^2 mod 5; "
@@ -190,7 +185,7 @@ def test_plain_rows_build_no_target_through_the_plan(monkeypatch):
     def planned(*args):
         raise AssertionError("target built through the plan")
 
-    monkeypatch.setattr(theta, "eta_quotient", planned)
+    monkeypatch.setattr(tasks, "eta_quotient", planned)
     for row in ("k33", "k34"):
         assert IDENTITIES[row].plain and IDENTITIES[row].mismatch(150) is None
 
@@ -211,4 +206,4 @@ def test_f52_refuses_low_order_before_any_build(monkeypatch, which):
     monkeypatch.setattr(etaq, "_CACHE", {})
     monkeypatch.setattr(etaq, "_Product", no_build)
     with pytest.raises(CrankqError, match="^order must be >= 3, got 2$"):
-        tasks.run_task("f52", order=2, which=which)
+        run_task("f52", order=2, which=which)
