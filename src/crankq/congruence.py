@@ -4,10 +4,10 @@ The oracles count partitions from their combinatorial definitions, on
 plain integer lists, in one O(n_max^2) pass for every n <= n_max; they
 use nothing of the series arithmetic, so they anchor the engine from the
 combinatorial side.  :func:`check_progression` drives the generic claim
-"this weighted sum over an arithmetic progression vanishes modulo M" and
-:func:`cooper_hirschhorn_check` the multiplicative coefficient relations;
-the named claims of the paper are bound to task ids in
-:mod:`crankq.tasks`, on top of this machinery.
+"this weighted sum over an arithmetic progression vanishes modulo M";
+the named claims of the paper, the multiplicative coefficient relations
+among them, are checked and bound to task ids in :mod:`crankq.tasks`,
+on top of this machinery.
 
 One genuine subtlety is pinned down here rather than papered over: at
 n = 1 the crank count gives -1 while the crank parity generating
@@ -21,9 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .errors import CrankqError, EnumerationCapExceeded, InexactDivision
+from .errors import EnumerationCapExceeded, InexactDivision
 from .etaq import SUMS, SeriesName, ThetaKind, _stretched_terms, named_series, resolve_name
 from .report import CheckReport
 from .series import Series
@@ -36,7 +36,6 @@ __all__ = [
     "check_progression",
     "solve_24n_condition",
     "prime_shift",
-    "cooper_hirschhorn_check",
     "ORACLE_CAP",
     "ORACLES",
     "oracle_rows",
@@ -230,24 +229,6 @@ def check_progression(family: CongruenceFamily, n_max: int,
     return CheckReport.from_failures(task, params, order, failures)
 
 
-def _n_max_for(n_max: Optional[int], order: Optional[int], stride: int,
-               offset: int, default: int) -> int:
-    """Scan length of a progression stride*n + offset: ``n_max`` when
-    given, else the most steps whose index stays below ``order`` (at least
-    one step), else ``default``.  Both bound the same scan, so giving both
-    raises :class:`CrankqError` rather than silently dropping one, as does
-    a negative ``n_max``."""
-    if n_max is not None and order is not None:
-        raise CrankqError("n_max and order both bound the scan; give one")
-    if n_max is not None:
-        if n_max < 0:
-            raise CrankqError(f"n_max must be >= 0, got {n_max}")
-        return n_max
-    if order is None:
-        return default
-    return max((order - 1 - offset) // stride, 0)
-
-
 def solve_24n_condition(alpha: int) -> tuple[int, int]:
     """The unique residue class of n with 24n = 1 mod 5^(2*alpha+1)."""
     if alpha < 0:
@@ -267,73 +248,3 @@ def prime_shift(p: int, a: int, b: int, residues: tuple[int, ...] = (13, 17, 19,
     shift, rem = divmod(a * p * p - b, 24)
     assert rem == 0
     return shift
-
-
-def cooper_hirschhorn_check(sequence: Union[SeriesName, str], p: int,
-                            n_max: Optional[int] = None, corollary_n_max: int = 5,
-                            order: Optional[int] = None) -> CheckReport:
-    """Multiplicative coefficient relations for f_1^4 f_2^2 and f_1^3 f_2.
-
-    For the quartic product (sequence "d") only p = 7 is admissible and
-    the relation is d(7n + 16) = 49 d(n/7).  For the cubic product
-    (sequence "h") p must be a prime in {13, 17, 19, 23} mod 24; the
-    relation h(pn + 5(p^2-1)/24) = +- p h(n/p) holds with one sign per
-    prime, which is inferred from the first index where the right side
-    is nonzero and then enforced everywhere, together with the vanishing
-    corollary h(p^2 n + p r + 5(p^2-1)/24) = 0 for r = 1 .. p-1.
-
-    The relation is checked for n <= n_max; n_max defaults to 100, or,
-    given ``order``, to the most n whose index p n + shift stays below it.
-    """
-    sequence = resolve_name(sequence)
-    if sequence is SeriesName.D_CH:
-        if p != 7:
-            raise ValueError("the quartic-product relation requires p = 7")
-        shift, factor = 16, 49
-        n_max = _n_max_for(n_max, order, 7, shift, 100)
-        order = 7 * n_max + shift + 1
-        series = named_series(sequence, order)
-        params = {"sequence": sequence.value, "p": p, "n_max": n_max}
-        pairs = ((n, series.coeff(7 * n + shift),
-                  factor * series.coeff(n // 7) if n % 7 == 0 else 0)
-                 for n in range(n_max + 1))
-        failures = ({"n": n, "lhs": lhs, "rhs": rhs}
-                    for n, lhs, rhs in pairs if lhs != rhs)
-        return CheckReport.from_failures("ch-d", params, order, failures)
-
-    if sequence is not SeriesName.H_CH:
-        raise ValueError(f"no multiplicative relation registered for {sequence}")
-    shift5 = prime_shift(p, 5, 5)
-    n_max = _n_max_for(n_max, order, p, shift5, 100)
-    order = max(p * n_max, p * p * corollary_n_max + p * (p - 1)) + shift5 + 1
-    series = named_series(sequence, order)
-    params = {"sequence": sequence.value, "p": p, "n_max": n_max,
-              "corollary_n_max": corollary_n_max, "shift": shift5}
-
-    def report(*failures: dict) -> CheckReport:
-        return CheckReport.from_failures("ch-h", params, order, failures)
-
-    sign = 0
-    for n in range(n_max + 1):
-        lhs = series.coeff(p * n + shift5)
-        rhs = series.coeff(n // p) if n % p == 0 else 0
-        if sign == 0 and rhs != 0:
-            if lhs == p * rhs:
-                sign = 1
-            elif lhs == -p * rhs:
-                sign = -1
-            else:
-                return report({"n": n, "lhs": lhs, "rhs_times_p": p * rhs,
-                               "reason": "no consistent sign"})
-        elif lhs != sign * p * rhs:
-            return report({"n": n, "lhs": lhs, "rhs_times_p": sign * p * rhs,
-                           "sign": sign})
-    params["sign"] = sign if sign else None
-    for n in range(corollary_n_max + 1):
-        for r in range(1, p):
-            idx = p * p * n + p * r + shift5
-            value = series.coeff(idx)
-            if value != 0:
-                return report({"n": n, "r": r, "index": idx, "value": value,
-                               "reason": "corollary vanishing"})
-    return report()

@@ -10,8 +10,10 @@ this module computes from the two-index recurrence
 
 run from the four seeds P(0,0) = 2, P(0,1) = 4 K^-1, P(1,0) = K and
 P(1,-1) = 4 K^-1 - 2 + K.  The same quantities evaluated directly from
-the R-series give an independent route, and the two are cross-checked
-coefficient by coefficient.
+the R-series give an independent route.  This module holds only the
+algebra; the checks that cross the two routes coefficient by coefficient,
+close the recurrences on a grid and compare the five-term combination
+are registry tasks in :mod:`~crankq.tasks`.
 
 Division by powers of K never happens: identities quoted with a K^j
 denominator are multiplied through by the monomial K^-j, which is exact
@@ -28,22 +30,17 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 from .errors import CrankqError
 from .etaq import (NAMED_SPECS, Factor, SeriesName, factor_cost, plan_quotient,
                    power_sums, rr_factors, step)
-from .report import CheckReport, first_mismatch
 from .series import Series, signed_terms
 
 __all__ = [
     "KPolynomial",
     "K",
     "PmnIndex",
-    "PMN_GRID",
     "pmn",
     "pmn_series_grid",
     "pmn_series",
     "eval_at_K_many",
     "eval_at_K",
-    "verify_recurrences",
-    "verify_series_agreement",
-    "verify_combo_identity",
 ]
 
 
@@ -216,11 +213,6 @@ def pmn(m: int, n: int) -> KPolynomial:
         return _pmn(m, n)
 
 
-# The grid m in [0, m_max], n in [n_min, n_max] on which rec35, rec36 and
-# pmn-eval check P(m, n) by default.
-PMN_GRID = {"m_max": 4, "n_min": -3, "n_max": 3}
-
-
 def _check_grid(m_min: int, m_max: int, n_min: int, n_max: int) -> dict[str, int]:
     """The grid's bounds as report params; an empty grid is refused."""
     if m_max < m_min or n_max < n_min:
@@ -361,47 +353,6 @@ def eval_at_K(p: KPolynomial, order: int) -> Series:
     return next(eval_at_K_many([p], order))
 
 
-def verify_recurrences(which: str, m_max: int = PMN_GRID["m_max"],
-                       n_min: int = PMN_GRID["n_min"],
-                       n_max: int = PMN_GRID["n_max"]) -> CheckReport:
-    """Exact symbolic closure of the n-step ("35") or the m-step ("36")
-    P(m,n) recurrence on a grid."""
-    step = {"35": "n-step", "36": "m-step"}.get(which)
-    if step is None:
-        raise ValueError(f"unknown recurrence selector {which!r}")
-    params = _check_grid(0, m_max, n_min, n_max)
-    failures = []
-    for m in range(m_max + 1):
-        for n in range(n_min, n_max + 1):
-            if which == "35":
-                holds = pmn(m, n + 1) == _FOUR_K_INV * pmn(m, n) + pmn(m, n - 1)
-            else:
-                holds = pmn(m + 2, n) == K * pmn(m + 1, n) + pmn(m, n)
-            if not holds:
-                failures.append({"recurrence": step, "m": m, "n": n})
-    return CheckReport.from_failures(f"rec{which}", params, 0, failures)
-
-
-def verify_series_agreement(order: int = 100, m_max: int = PMN_GRID["m_max"],
-                            n_min: int = PMN_GRID["n_min"],
-                            n_max: int = PMN_GRID["n_max"]) -> CheckReport:
-    """eval_at_K(pmn) against the direct R-series evaluation on a grid.
-
-    Both sides are streamed in m-major order, so the witness is the first
-    failing point in that order.
-    """
-    params = _check_grid(0, m_max, n_min, n_max)
-    if order <= m_max:
-        raise CrankqError(f"order must exceed m_max = {m_max}, got {order}")
-    symbolic = eval_at_K_many((pmn(m, n) for m in range(m_max + 1)
-                               for n in range(n_min, n_max + 1)), order)
-    direct = pmn_series_grid(0, m_max, n_min, n_max, order)
-    failures = ({"m": m, "n": n, **diff}
-                for s, ((m, n), d) in zip(symbolic, direct)
-                if (diff := first_mismatch(s, d, keys=("symbolic", "direct"))))
-    return CheckReport.from_failures("pmn-eval", params, order, failures)
-
-
 def combo_sides() -> tuple[KPolynomial, KPolynomial]:
     """Both sides of the five-term P-combination identity, as Laurent polys.
 
@@ -413,24 +364,3 @@ def combo_sides() -> tuple[KPolynomial, KPolynomial]:
     rhs = ((K - 4) ** 2 * (K + 1) * (K * K - 3 * K + 1)
            * KPolynomial.monomial(1, -2))
     return lhs, rhs
-
-
-def verify_combo_identity(order: int = 100) -> CheckReport:
-    """The P-combination identity, as Laurent polynomials in K.
-
-    Sides that are one polynomial are one q-series too, so they are not
-    also compared as q-series; ``pmn-eval`` checks each P(m, n) that the
-    combination reads against the direct R-series evaluation.  ``order``
-    is only reported.
-
-    Also covers the two micro-identities used alongside it:
-    1 + P(0,-1) = (K-4)/K and 1 - 2P(0,-1) - 2P(1,0) = 1 + 8K^-1 - 2K,
-    both cleared of denominators before comparison.
-    """
-    checks = {"symbolic": combo_sides(),
-              "micro1": (1 + pmn(0, -1), (K - 4) * KPolynomial.monomial(1, -1)),
-              "micro2": (1 - 2 * pmn(0, -1) - 2 * pmn(1, 0),
-                         KPolynomial({-1: 8, 0: 1, 1: -2}))}
-    failures = [{"check": check, "lhs": str(lhs), "rhs": str(rhs)}
-                for check, (lhs, rhs) in checks.items() if lhs != rhs]
-    return CheckReport.from_failures("combo456", {}, order, failures)

@@ -8,7 +8,7 @@ identities: each eta-quotient identity a task checks is an
 :class:`Identity` row of :data:`IDENTITIES`.  The checks the planner
 relies on (``theta-*``, ``k33``, ``k34``) build their reference side by
 the plain route, |e| passes of f_m, never by a plan that could use the
-identity being checked.  The P(m,n) checks live in :mod:`~crankq.kalgebra`.
+identity being checked.  Every check has its one body in this module.
 
 Each task is a zero-config callable returning a :class:`CheckReport`;
 passing ``order=N`` rescales it (identity tasks compare up to N,
@@ -25,21 +25,21 @@ from dataclasses import dataclass, replace
 from functools import partial
 from inspect import signature
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from . import kalgebra
-from .congruence import (ORACLES, CongruenceFamily, _n_max_for,
-                         check_progression, cooper_hirschhorn_check,
-                         oracle_rows, prime_shift, solve_24n_condition)
+from .congruence import (ORACLES, CongruenceFamily, check_progression, oracle_rows,
+                         prime_shift, solve_24n_condition)
 from .errors import CrankqError
 from .etaq import (SUMS, EtaQuotientSpec, SeriesName, ThetaKind, apply_factors,
                    eta_factors, eta_quotient, eta_series, factor_product, named_series,
                    plan_quotient, power_sums, rr_factors, theta_sum)
+from .kalgebra import (K, KPolynomial, _check_grid, combo_sides, eval_at_K_many, pmn,
+                       pmn_series_grid)
 from .report import CheckReport, first_mismatch
 from .series import Series
 
-__all__ = ["Identity", "IDENTITIES", "task_ids", "describe", "run_task", "run_all",
-           "run_oracle"]
+__all__ = ["Identity", "IDENTITIES", "PMN_GRID", "task_ids", "describe", "run_task",
+           "run_all", "run_oracle"]
 
 
 def _plain(spec: EtaQuotientSpec, order: int) -> Series:
@@ -117,6 +117,24 @@ IDENTITIES: dict[str, Identity] = {
 }
 
 
+def _n_max_for(n_max: Optional[int], order: Optional[int], stride: int,
+               offset: int, default: int) -> int:
+    """Scan length of a progression stride*n + offset: ``n_max`` when
+    given, else the most steps whose index stays below ``order`` (at least
+    one step), else ``default``.  Both bound the same scan, so giving both
+    raises :class:`CrankqError` rather than silently dropping one, as does
+    a negative ``n_max``."""
+    if n_max is not None and order is not None:
+        raise CrankqError("n_max and order both bound the scan; give one")
+    if n_max is not None:
+        if n_max < 0:
+            raise CrankqError(f"n_max must be >= 0, got {n_max}")
+        return n_max
+    if order is None:
+        return default
+    return max((order - 1 - offset) // stride, 0)
+
+
 def _check_family(tid: str, family: CongruenceFamily, default: int,
                   n_max: Optional[int] = None,
                   order: Optional[int] = None) -> CheckReport:
@@ -176,6 +194,60 @@ def _check_5p2(task: str, weight: ThetaKind, form: tuple, p: int,
     failures = (dict(part.witness, r=r)
                 for r, part in enumerate(parts, start=1) if not part.passed)
     return CheckReport.from_failures(task, params, order, failures)
+
+
+def _check_ch_d(n_max: Optional[int] = None, order: Optional[int] = None) -> CheckReport:
+    """The multiplicative relation d(7n + 16) = 49 d(n/7) of the quartic
+    product f_1^4 f_2^2, where d(n/7) is 0 unless 7 divides n; 7 is the
+    one admissible p.  n_max defaults to 100, or to the most n with
+    7n + 16 below ``order``."""
+    n_max = _n_max_for(n_max, order, 7, 16, 100)
+    order = 7 * n_max + 17
+    series = named_series(SeriesName.D_CH, order)
+    pairs = ((n, series.coeff(7 * n + 16), 49 * series.coeff(n // 7) if n % 7 == 0 else 0)
+             for n in range(n_max + 1))
+    failures = ({"n": n, "lhs": lhs, "rhs": rhs} for n, lhs, rhs in pairs if lhs != rhs)
+    return CheckReport.from_failures("ch-d", {"sequence": "d", "p": 7, "n_max": n_max},
+                                     order, failures)
+
+
+def _check_ch_h(p: int = 13, n_max: Optional[int] = None, corollary_n_max: int = 5,
+                order: Optional[int] = None) -> CheckReport:
+    """The multiplicative relation h(pn + shift) = +-p h(n/p) of the cubic
+    product f_1^3 f_2, shift = 5(p^2-1)/24, for a prime p in {13, 17, 19,
+    23} mod 24; h(n/p) is 0 unless p divides n.  The sign, one per prime,
+    is read at the first nonzero right side and then enforced.  Then the
+    corollary h(p^2 n + p r + shift) = 0 for r = 1 .. p-1, n <=
+    corollary_n_max.  n_max defaults to 100, or to the most n with
+    pn + shift below ``order``."""
+    shift = prime_shift(p, 5, 5)
+    n_max = _n_max_for(n_max, order, p, shift, 100)
+    order = max(p * n_max, p * p * corollary_n_max + p * (p - 1)) + shift + 1
+    series = named_series(SeriesName.H_CH, order)
+    params = {"sequence": "h", "p": p, "n_max": n_max,
+              "corollary_n_max": corollary_n_max, "shift": shift}
+
+    def failures() -> Iterator[dict]:      # from_failures draws up to the first
+        sign = 0
+        for n in range(n_max + 1):
+            lhs = series.coeff(p * n + shift)
+            rhs = p * series.coeff(n // p) if n % p == 0 else 0
+            if sign == 0 and rhs != 0:
+                sign = 1 if lhs == rhs else -1 if lhs == -rhs else 0
+                if sign == 0:
+                    yield {"n": n, "lhs": lhs, "rhs_times_p": rhs,
+                           "reason": "no consistent sign"}
+            elif lhs != sign * rhs:
+                yield {"n": n, "lhs": lhs, "rhs_times_p": sign * rhs, "sign": sign}
+        params["sign"] = sign if sign else None
+        for n in range(corollary_n_max + 1):
+            for r in range(1, p):
+                index = p * p * n + p * r + shift
+                if value := series.coeff(index):
+                    yield {"n": n, "r": r, "index": index, "value": value,
+                           "reason": "corollary vanishing"}
+
+    return CheckReport.from_failures("ch-h", params, order, failures())
 
 
 def _check_a54(order: int = 150, n_max: int = 100) -> CheckReport:
@@ -316,6 +388,65 @@ def _binom_suite(order: int = 150,
     return CheckReport.from_failures("binom", params, order, [])
 
 
+# The grid m in [0, m_max], n in [n_min, n_max] on which rec35, rec36 and
+# pmn-eval check P(m, n) by default.
+PMN_GRID = {"m_max": 4, "n_min": -3, "n_max": 3}
+
+
+def _n_step(m: int, n: int) -> bool:
+    return pmn(m, n + 1) == KPolynomial({-1: 4}) * pmn(m, n) + pmn(m, n - 1)
+
+
+def _m_step(m: int, n: int) -> bool:
+    return pmn(m + 2, n) == K * pmn(m + 1, n) + pmn(m, n)
+
+
+def _check_recurrence(task: str, step: str, holds: Callable[[int, int], bool],
+                      m_max: int = PMN_GRID["m_max"], n_min: int = PMN_GRID["n_min"],
+                      n_max: int = PMN_GRID["n_max"]) -> CheckReport:
+    """Exact symbolic closure of one P(m,n) recurrence: ``holds`` at every
+    point (m, n) of a grid, m-major; ``step`` names it in the witness."""
+    params = _check_grid(0, m_max, n_min, n_max)
+    failures = ({"recurrence": step, "m": m, "n": n}
+                for m in range(m_max + 1) for n in range(n_min, n_max + 1)
+                if not holds(m, n))
+    return CheckReport.from_failures(task, params, 0, failures)
+
+
+def _check_pmn_eval(order: int = 100, m_max: int = PMN_GRID["m_max"],
+                    n_min: int = PMN_GRID["n_min"],
+                    n_max: int = PMN_GRID["n_max"]) -> CheckReport:
+    """Each symbolic P(m,n), K replaced by its q-series, against the direct
+    R-series evaluation on a grid.  Both sides stream in m-major order, so
+    the witness is the first failing point in that order."""
+    params = _check_grid(0, m_max, n_min, n_max)
+    if order <= m_max:
+        raise CrankqError(f"order must exceed m_max = {m_max}, got {order}")
+    symbolic = eval_at_K_many((pmn(m, n) for m in range(m_max + 1)
+                               for n in range(n_min, n_max + 1)), order)
+    direct = pmn_series_grid(0, m_max, n_min, n_max, order)
+    failures = ({"m": m, "n": n, **diff}
+                for s, ((m, n), d) in zip(symbolic, direct)
+                if (diff := first_mismatch(s, d, keys=("symbolic", "direct"))))
+    return CheckReport.from_failures("pmn-eval", params, order, failures)
+
+
+def _check_combo456(order: int = 100) -> CheckReport:
+    """The five-term P-combination identity and the two micro-identities
+    used alongside it, 1 + P(0,-1) = (K-4)/K and 1 - 2P(0,-1) - 2P(1,0) =
+    1 + 8K^-1 - 2K, as Laurent polynomials in K cleared of denominators.
+    They are not also compared as q-series: ``pmn-eval`` checks each
+    P(m, n) they read against the direct R-series.  ``order`` is only
+    reported."""
+    checks = {"symbolic": combo_sides(),
+              "micro1": (1 + pmn(0, -1), (K - 4) * KPolynomial.monomial(1, -1)),
+              "micro2": (1 - 2 * pmn(0, -1) - 2 * pmn(1, 0),
+                         KPolynomial({-1: 8, 0: 1, 1: -2}))}
+    failures = ({"check": check, "lhs": str(lhs), "rhs": str(rhs)}
+                for check, (lhs, rhs) in checks.items() if lhs != rhs)
+    return CheckReport.from_failures("combo456", {}, order, failures)
+
+
 _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
     # congruences for the named sequences
     "thm11": ("crank parity divisible by 5^(a+1) on the 24n=1 mod 5^(2a+1) class",
@@ -350,9 +481,9 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
             partial(_check_5p2, "cr2", ThetaKind.CUBIC_3K1, (65, 41, (7, 11), 12),
                     p=7)),
     "ch-d": ("multiplicative relation d(7n+16) = 49 d(n/7)",
-             partial(cooper_hirschhorn_check, SeriesName.D_CH, p=7)),
+             _check_ch_d),
     "ch-h": ("multiplicative relation h(pn+shift) = +-p h(n/p) and vanishing",
-             partial(cooper_hirschhorn_check, SeriesName.H_CH, p=13)),
+             _check_ch_h),
     "smoke5": ("partition numbers vanish mod 5 on 5n+4",
                partial(_check_family, "smoke5",
                        CongruenceFamily(SeriesName.P_PARTITION, 5, stride=5,
@@ -399,13 +530,13 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
               + ", ".join(f"({m},{k})" for m, k in _BINOM_PAIRS), _binom_suite),
     # the P(m,n) system
     "rec35": ("n-step recurrence closes symbolically on the grid",
-              partial(kalgebra.verify_recurrences, "35")),
+              partial(_check_recurrence, "rec35", "n-step", _n_step)),
     "rec36": ("m-step recurrence closes symbolically on the grid",
-              partial(kalgebra.verify_recurrences, "36")),
+              partial(_check_recurrence, "rec36", "m-step", _m_step)),
     "pmn-eval": ("symbolic P(m,n) matches direct R-series evaluation",
-                 kalgebra.verify_series_agreement),
+                 _check_pmn_eval),
     "combo456": ("five-term P-combination identity plus micro-identities",
-                 kalgebra.verify_combo_identity),
+                 _check_combo456),
 }
 
 

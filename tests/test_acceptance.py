@@ -16,8 +16,6 @@ separately and does hold; see ``f52-corrected``.
 
 import json
 
-from crankq.kalgebra import (verify_combo_identity, verify_recurrences,
-                             verify_series_agreement)
 from crankq.tasks import run_task
 
 from oracles import naive_euler, naive_inv, naive_mul, naive_pow
@@ -135,10 +133,10 @@ def test_criterion_8_identity_suite():
 def test_criterion_9_pmn_system():
     criterion(9, "P(m,n) recurrences, symbol/series agreement, five-term "
                  "combination and micro-identities",
-              verify_recurrences("35", m_max=4, n_min=-3, n_max=3),
-              verify_recurrences("36", m_max=4, n_min=-3, n_max=3),
-              verify_series_agreement(order=100, m_max=4, n_min=-3, n_max=3),
-              verify_combo_identity(order=100))
+              run_task("rec35", m_max=4, n_min=-3, n_max=3),
+              run_task("rec36", m_max=4, n_min=-3, n_max=3),
+              run_task("pmn-eval", order=100, m_max=4, n_min=-3, n_max=3),
+              run_task("combo456", order=100))
 
 
 def test_criterion_10_reduced_columns():

@@ -4,8 +4,7 @@ import pytest
 
 from crankq import etaq, series
 from crankq.congruence import (ORACLE_CAP, CongruenceFamily, check_progression,
-                               colored_partition_oracle,
-                               cooper_hirschhorn_check, crank_parity_oracle,
+                               colored_partition_oracle, crank_parity_oracle,
                                oracle_rows, solve_24n_condition, weighted_sum)
 from crankq.errors import EnumerationCapExceeded, InexactDivision, OrderExceeded
 from crankq.etaq import SeriesName, ThetaKind, named_series, theta_sum
@@ -258,33 +257,36 @@ def test_thm11_alpha0_consistent_with_thm12():
 # multiplicative relations
 
 def test_cooper_hirschhorn_quartic():
-    report = cooper_hirschhorn_check(SeriesName.D_CH, 7, 100)
+    report = run_task("ch-d", n_max=100)
     assert report.passed
     d = named_series("d", 20)
     assert d.coeff(16) == 49 * d.coeff(0) == 49
 
 
 def test_cooper_hirschhorn_cubic_sign_inference():
-    report = cooper_hirschhorn_check("h", 13, 100)
+    report = run_task("ch-h", p=13, n_max=100)
     assert report.passed
     assert report.params["sign"] == 1
     assert report.params["shift"] == 35
 
 
-def test_cooper_hirschhorn_other_prime():
-    report = cooper_hirschhorn_check("h", 37, 10, corollary_n_max=0)
+# the sign h(pn + shift) = +-p h(n/p) reads, by the class of p mod 24
+_CH_H_SIGN = {13: 1, 17: -1, 19: 1, 23: -1}
+
+
+@pytest.mark.parametrize("p", [13, 17, 19, 23, 37, 41, 43, 47])
+def test_cooper_hirschhorn_other_prime(p):
+    # each class twice, so p and p + 24 must read the same sign
+    report = run_task("ch-h", p=p, n_max=10, corollary_n_max=0)
     assert report.passed
+    assert report.params["sign"] == _CH_H_SIGN[p % 24]
 
 
 def test_cooper_hirschhorn_preconditions():
     with pytest.raises(ValueError):
-        cooper_hirschhorn_check("h", 5, 10)
+        run_task("ch-h", p=5, n_max=10)
     with pytest.raises(ValueError):
-        cooper_hirschhorn_check("d", 5, 10)
-    with pytest.raises(ValueError):
-        cooper_hirschhorn_check("h", 25, 10)   # 25 = 1 mod 24 and composite
-    with pytest.raises(ValueError):
-        cooper_hirschhorn_check("p", 13, 10)
+        run_task("ch-h", p=25, n_max=10)   # 25 = 1 mod 24 and composite
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,7 @@
 import pytest
 
 from crankq import kalgebra, tasks
-from crankq.kalgebra import (K, KPolynomial, combo_sides, eval_at_K, pmn, pmn_series,
-                             verify_combo_identity, verify_recurrences,
-                             verify_series_agreement)
+from crankq.kalgebra import K, KPolynomial, combo_sides, eval_at_K, pmn, pmn_series
 from crankq.series import Series
 
 FOUR_K_INV = KPolynomial({-1: 4})
@@ -53,11 +51,19 @@ def test_pmn_rejects_negative_m():
 
 
 def test_recurrences_close_on_grid():
-    for which in ("35", "36"):
-        report = verify_recurrences(which)
-        assert report.passed and report.task == f"rec{which}"
-    with pytest.raises(ValueError):
-        verify_recurrences("both")
+    for tid in ("rec35", "rec36"):
+        report = tasks.run_task(tid)
+        assert report.passed and report.task == tid
+
+
+def test_recurrence_witness_names_its_step(monkeypatch):
+    # P(2, 1) zeroed: each id's own step relation fails first where it
+    # reads that point, m-major
+    true_pmn = tasks.pmn
+    monkeypatch.setattr(tasks, "pmn",
+                        lambda m, n: KPolynomial() if (m, n) == (2, 1) else true_pmn(m, n))
+    assert tasks.run_task("rec35").witness == {"recurrence": "n-step", "m": 2, "n": 0}
+    assert tasks.run_task("rec36").witness == {"recurrence": "m-step", "m": 0, "n": 1}
 
 
 def test_recurrence_spot_checks():
@@ -91,11 +97,11 @@ def test_eval_matches_eta_quotient_for_k_plus_one():
 
 
 def test_series_agreement_grid():
-    assert verify_series_agreement(order=100).passed
+    assert tasks.run_task("pmn-eval", order=100).passed
 
 
 def test_combo_identity_symbolic_and_numeric():
-    report = verify_combo_identity(order=100)
+    report = tasks.run_task("combo456", order=100)
     assert report.passed
 
 
@@ -116,12 +122,12 @@ def test_combo_points_lie_in_the_pmn_eval_grid(monkeypatch):
     monkeypatch.setattr(kalgebra, "pmn", lambda m, n: read.append((m, n)) or true_pmn(m, n))
     combo_sides()
     assert sorted(set(read)) == [(1, -1), (1, 0), (2, -1), (3, -2), (3, -1)]
-    grid = kalgebra.PMN_GRID
+    grid = tasks.PMN_GRID
     assert all(0 <= m <= grid["m_max"] and grid["n_min"] <= n <= grid["n_max"]
                for m, n in read)
-    # the task and the function, each at its defaults, check that grid
+    # the task, at its defaults, checks that grid
     monkeypatch.undo()
-    assert verify_series_agreement().params == tasks.run_task("pmn-eval").params == grid
+    assert tasks.run_task("pmn-eval").params == grid
 
 
 def test_micro_identities():

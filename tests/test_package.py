@@ -1,9 +1,9 @@
 """Package-wide invariants: exported names resolve, one run of every
 task computes each coefficient of every cached series once, multiplies
 no two series and plans each eta quotient as pinned, run_task checks its
-arguments, a task id runs only its own check, the report and the task
-outcomes match the benchmark's golden file, and the README's library
-tour runs as written."""
+arguments, a task id runs only its own check, every check is defined in
+the task module, the report and the task outcomes match the benchmark's
+golden file, and the README's library tour runs as written."""
 
 import importlib
 import json
@@ -144,7 +144,11 @@ def test_every_task_plan_is_pinned(monkeypatch, order):
 @pytest.mark.parametrize("call, message", [
     (lambda: tasks.run_task("thm12", p=3), "unsupported parameter 'p'"),
     (lambda: tasks.run_task("rec35", order=0), "order must be >= 1, got 0"),
-], ids=["keyword", "order"])
+    # d's relation holds at p = 7 alone and has no corollary scan
+    (lambda: tasks.run_task("ch-d", corollary_n_max=0),
+     "unsupported parameter 'corollary_n_max'"),
+    (lambda: tasks.run_task("ch-d", p=7), "unsupported parameter 'p'"),
+], ids=["keyword", "order", "ch-d-corollary", "ch-d-p"])
 def test_run_task_checks_what_it_is_given(call, message):
     with pytest.raises(CrankqError) as info:
         call()
@@ -160,6 +164,14 @@ def test_a_task_id_runs_only_its_own_check(tid, name, value):
     with pytest.raises(CrankqError) as info:
         tasks.run_task(tid, **{name: value})
     assert str(info.value) == f"unsupported parameter {name!r}"
+
+
+def test_every_check_is_defined_in_tasks():
+    # the task layer is one module: no id runs a body kept elsewhere
+    for tid in tasks.task_ids():
+        check = tasks._REGISTRY[tid][1]
+        check = getattr(check, "func", check)       # a check bound by position
+        assert check.__module__ == "crankq.tasks", (tid, check.__module__)
 
 
 def test_report_and_task_outcomes_match_the_golden_file(capsys):

@@ -21,15 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crankq import etaq, kalgebra, series
+from crankq import etaq, series, tasks
 from crankq.errors import CrankqError
 from crankq.etaq import (NAMED_SPECS, SUMS, EtaQuotientSpec, Factor, SeriesName,
                          ThetaKind, apply_factors, eta_factors, eta_quotient,
                          eta_series, factor_product, named_series,
                          plan_quotient, rr_factors, rr_stretch, theta_terms)
 from crankq.kalgebra import (KPolynomial, PmnIndex, _check_grid, eval_at_K,
-                             eval_at_K_many, pmn, pmn_series, pmn_series_grid,
-                             verify_series_agreement)
+                             eval_at_K_many, pmn, pmn_series, pmn_series_grid)
 from crankq.report import first_mismatch
 from crankq.series import Series, sparse_pass
 from crankq.tasks import run_task
@@ -426,7 +425,7 @@ def test_batched_grid_shapes_match_dense_route(m_min, m_max, n_min, n_max):
             assert series == dense_pmn_series(m, n, order)
         if m_min == 0:
             params = {"m_max": m_max, "n_min": n_min, "n_max": n_max}
-            assert verify_series_agreement(order, **params).passed
+            assert run_task("pmn-eval", order=order, **params).passed
 
 
 def test_batched_eval_at_orders_up_to_the_degree():
@@ -636,14 +635,14 @@ def test_grid_witness_is_first_failure_in_m_major_order(monkeypatch):
     # corrupt two points; (1, 2) comes first in m-major order, (3, -1)
     # would come first in n-major order
     bad = {(1, 2): KPolynomial({0: 1}), (3, -1): KPolynomial({-2: 5})}
-    true_pmn = kalgebra.pmn
-    monkeypatch.setattr(kalgebra, "pmn",
+    true_pmn = tasks.pmn
+    monkeypatch.setattr(tasks, "pmn",
                         lambda m, n: bad.get((m, n)) or true_pmn(m, n))
     order = 40
-    report = verify_series_agreement(order, m_max=4, n_min=-3, n_max=3)
+    report = run_task("pmn-eval", order=order, m_max=4, n_min=-3, n_max=3)
     per_point = []
     for m, n in PMN_GRID:
-        diff = first_mismatch(eval_at_K(kalgebra.pmn(m, n), order),
+        diff = first_mismatch(eval_at_K(tasks.pmn(m, n), order),
                               pmn_series(m, n, order), keys=("symbolic", "direct"))
         if diff:
             per_point.append({"m": m, "n": n, **diff})
