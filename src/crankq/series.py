@@ -24,10 +24,14 @@ so series may be shared freely between threads.
 a dense coefficient list, in place, by a sparse unit series
 ``1 + sum c q^k``.  Every eta quotient, R(q) and P(m,n) evaluation is a
 sequence of such passes, and :meth:`Series.invert` is one divide pass.
-Terms with coefficient +-1 (all of f_m, psi and both halves of R(q)) run
-as C-level ``map`` slices, except the unit terms of a divide below
-:data:`_BLOCK` = 256; those and the weighted terms cost one bytecode
-step each per coefficient.  A divide pushes its far unit terms once per
+A multiply with at least :data:`_PACKED_TERMS` = 14 terms below the
+list's length packs the list once into one integer, in slots wide enough
+for every entry of the product, and adds each term as one C-level
+shift-and-add of the whole list; a shorter one adds each term as one
+slice, a C-level ``map`` for coefficients +-1 (all of f_m, psi and both
+halves of R(q)).  A divide never sees the packed form.  Its unit terms
+below :data:`_BLOCK` = 256 and its weighted terms cost one bytecode step
+each per coefficient, and it pushes its far unit terms once per
 finished block of their octave, 256, 512, 1024, ... entries: a smaller
 block costs more in slices than the scalar loop it bypasses.
 A pass can resume on a longer list where it stopped (``start``), which
@@ -37,6 +41,7 @@ without recomputing their prefix.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -77,6 +82,77 @@ def signed_terms(terms: Iterable[tuple[int, int]], var: str,
 # process-time medians).  Dropping the pushes altogether took 1.09-1.21x
 # the time at N = 30000 and 1.19-1.32x at 75015, so they stay from 256 up.
 _BLOCK = 256
+# The fewest terms below the list's length for which a multiply runs packed
+# (_packed_multiply): packing and unpacking cost a few list steps per entry,
+# and each term then costs one shift-and-add in place of one slice.  Against
+# the list loop, on the partition numbers and on R(q) at N = 104, 404, 2002
+# and 4004 (interleaved medians), the unit rows eta, rr-num and rr-den(q^2)
+# ran 0.59-0.92x at 8 terms, 0.86-1.31x at 12 and 0.92-1.48x at 14; the
+# weighted jacobi ran 1.34-2.04x at 12, and every full row 1.13-3.56x
+# except rr-den(q^2) at N = 104, 0.58-0.67x, which has 8 terms.
+_PACKED_TERMS = 14
+
+
+def _list_multiply(coeffs: list[int], terms: Sequence[tuple[int, int]],
+                   e: int, start: int) -> None:
+    """The multiply of :func:`sparse_pass` by one slice per term and pass:
+    a C-level ``map(add|sub, ...)`` for c = +-1, a comprehension otherwise.
+    Every k is below ``len(coeffs)``."""
+    for _ in range(e):
+        src = coeffs[:]
+        for k, c in terms:
+            lo = max(k, start)
+            shifted = src if lo == k else src[lo - k:]
+            if c == 1:
+                coeffs[lo:] = map(add, coeffs[lo:], shifted)
+            elif c == -1:
+                coeffs[lo:] = map(sub, coeffs[lo:], shifted)
+            else:
+                coeffs[lo:] = [x + c * y for x, y in zip(coeffs[lo:], shifted)]
+
+
+def _slot_bytes(coeffs: Sequence[int], terms: Sequence[tuple[int, int]], e: int) -> int:
+    """Bytes per slot that hold every entry of ``coeffs`` times
+    ``(1 + sum c q^k)^e`` and every partial sum on the way: no entry
+    exceeds max|x| (1 + sum |c|)^e in size, so the bit length of max|x|,
+    plus e times that of 1 + sum |c|, plus a sign bit, in whole bytes."""
+    top = max(max(coeffs), -min(coeffs))
+    reach = 1 + sum(abs(c) for _, c in terms)
+    return (top.bit_length() + e * reach.bit_length() + 8) // 8
+
+
+def _packed_multiply(coeffs: list[int], terms: Sequence[tuple[int, int]],
+                     e: int, start: int) -> None:
+    """The multiply of :func:`sparse_pass` on one packed integer
+    (Kronecker substitution): x_i sits in slot i of w bytes
+    (:func:`_slot_bytes`), and each term of each pass is one shift-and-add
+    of the whole list.  Packing writes each entry as w signed bytes, joined,
+    and flips each slot's top bit, which adds 2^(8w-1) to every slot: the
+    biased slots are all non-negative, so they hold the list with no
+    carries, and subtracting the flip mask gives the signed packed value.
+    Unpacking undoes both steps for the entries from ``start`` on.  Every k
+    is below ``len(coeffs)``; slots above the list are cut after each pass."""
+    n = len(coeffs)
+    w = _slot_bytes(coeffs, terms, e)
+    bits = 8 * w
+    flip = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    full = (1 << n * bits) - 1
+    biased = int.from_bytes(b"".join([x.to_bytes(w, "little", signed=True)
+                                      for x in coeffs]), "little") ^ flip
+    for _ in range(e):
+        acc = src = biased - flip
+        for k, c in terms:
+            if c == 1:
+                acc += src << k * bits
+            elif c == -1:
+                acc -= src << k * bits
+            else:
+                acc += c * src << k * bits
+        biased = (acc + flip) & full
+    out = ((biased ^ flip) >> start * bits).to_bytes((n - start) * w, "little")
+    unpack = int.from_bytes
+    coeffs[start:] = [unpack(out[i:i + w], "little", signed=True)
+                      for i in range(0, len(out), w)]
 
 
 def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
@@ -85,8 +161,10 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
 
     ``terms`` holds the (k, c) of the sparse unit series, k >= 1 and
     ascending.  Each of the ``|e|`` passes costs ``len(coeffs)`` steps per
-    term.  A multiply (e > 0) adds each shifted copy in one slice: a
-    C-level ``map(add|sub, ...)`` for c = +-1, a comprehension otherwise.
+    term.  A multiply (e > 0) with at least ``_PACKED_TERMS`` terms below
+    ``len(coeffs)`` runs on one packed integer (:func:`_packed_multiply`),
+    one shift-and-add per term; one with fewer adds each shifted copy to
+    the list in one slice (:func:`_list_multiply`).
     A divide (e < 0) runs the convolution recurrence
     ``b[n] = a[n] - sum c * b[n - k]``.  A unit term with k >= _BLOCK is
     far: it sits in the octave S <= k < 2S (S = _BLOCK, 2 _BLOCK, ...),
@@ -111,20 +189,14 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     n = len(coeffs)
     if start and e not in (1, -1):
         raise ValueError(f"only a single pass resumes, got e = {e}")
-    for _ in range(e):
-        src = coeffs[:]
-        for k, c in terms:
-            if k >= n:
-                break
-            lo = max(k, start)
-            shifted = src if lo == k else src[lo - k:]
-            if c == 1:
-                coeffs[lo:] = map(add, coeffs[lo:], shifted)
-            elif c == -1:
-                coeffs[lo:] = map(sub, coeffs[lo:], shifted)
-            else:
-                coeffs[lo:] = [x + c * y for x, y in zip(coeffs[lo:], shifted)]
-    if e >= 0:
+    if e > 0:
+        live = terms[:bisect_left(terms, (n,))]
+        if len(live) >= _PACKED_TERMS:
+            _packed_multiply(coeffs, live, e, start)
+        else:
+            _list_multiply(coeffs, live, e, start)
+        return
+    if e == 0:
         return
     near = [(k, c) for k, c in terms if k < _BLOCK or c not in (1, -1)]
     far = [(k, sub if c == 1 else add) for k, c in terms

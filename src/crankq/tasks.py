@@ -219,7 +219,10 @@ def _check_ch_h(p: int = 13, n_max: Optional[int] = None, corollary_n_max: int =
     is read at the first nonzero right side and then enforced.  Then the
     corollary h(p^2 n + p r + shift) = 0 for r = 1 .. p-1, n <=
     corollary_n_max.  n_max defaults to 100, or to the most n with
-    pn + shift below ``order``."""
+    pn + shift below ``order``.  A negative corollary_n_max would scan no
+    corollary, so it raises :class:`CrankqError`, as a negative n_max does."""
+    if corollary_n_max < 0:
+        raise CrankqError(f"corollary_n_max must be >= 0, got {corollary_n_max}")
     shift = prime_shift(p, 5, 5)
     n_max = _n_max_for(n_max, order, p, shift, 100)
     order = max(p * n_max, p * p * corollary_n_max + p * (p - 1)) + shift + 1

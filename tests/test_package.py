@@ -148,7 +148,10 @@ def test_every_task_plan_is_pinned(monkeypatch, order):
     (lambda: tasks.run_task("ch-d", corollary_n_max=0),
      "unsupported parameter 'corollary_n_max'"),
     (lambda: tasks.run_task("ch-d", p=7), "unsupported parameter 'p'"),
-], ids=["keyword", "order", "ch-d-corollary", "ch-d-p"])
+    # a negative bound would scan no corollary and pass
+    (lambda: tasks.run_task("ch-h", corollary_n_max=-3),
+     "corollary_n_max must be >= 0, got -3"),
+], ids=["keyword", "order", "ch-d-corollary", "ch-d-p", "ch-h-corollary"])
 def test_run_task_checks_what_it_is_given(call, message):
     with pytest.raises(CrankqError) as info:
         call()
