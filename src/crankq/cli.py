@@ -1,8 +1,9 @@
 """Command-line surface: expand, dissect, verify, oracle, pmn, report.
 
-Exit status is 0 when everything asked for passed, 1 when any check
-failed (witnesses are printed), and 2 for usage or parse errors; a
-``verify`` run finishes every task before exiting 2.  When stdout is
+``verify`` and ``report`` run their tasks through one loop, :func:`_run`,
+which finishes every task even after a usage error.  Exit status is 0
+when everything asked for passed, 1 when any check failed (witnesses are
+printed), and 2 for usage or parse errors.  When stdout is
 closed before the output is all written (``crankq report | head -1``),
 the run stops quietly with status 141 (128 + SIGPIPE, what a shell
 reports for a command that a closed pipe stops), which reads as neither
@@ -62,11 +63,21 @@ def _cmd_dissect(args) -> int:
     return 0
 
 
-def _print_report(report, args, include_timing: bool = True) -> None:
-    if args.format == "json":
-        print(report.to_json(include_timing=include_timing))
-    else:
-        print(report.text_line())
+def _run(args, ids, order: Optional[int] = None, extra: Optional[dict] = None,
+         include_timing: bool = True) -> tuple[int, int]:
+    """Run and print each task; a usage error names its task on stderr and
+    the run goes on.  Returns the counts of failed tasks and usage errors."""
+    failed = usage_errors = 0
+    for tid in ids:
+        try:
+            report = tasks.run_task(tid, order=order, **(extra or {}))
+        except _USAGE_ERRORS as exc:
+            print(f"error: {tid}: {exc}", file=sys.stderr)
+            usage_errors += 1
+            continue
+        print(report.to_json(include_timing) if args.format == "json" else report.text_line())
+        failed += not report.passed
+    return failed, usage_errors
 
 
 def _cmd_verify(args) -> int:
@@ -78,16 +89,7 @@ def _cmd_verify(args) -> int:
         raise CrankqError("verify needs --theorem <id> (repeatable) or --all")
     extra = {name: value for name in ("alpha", "p", "n_max")
              if (value := getattr(args, name)) is not None}
-    failed = usage_errors = 0
-    for tid in ids:
-        try:
-            report = tasks.run_task(tid, order=args.order, **extra)
-        except _USAGE_ERRORS as exc:
-            print(f"error: {tid}: {exc}", file=sys.stderr)
-            usage_errors += 1
-            continue
-        _print_report(report, args)
-        failed += not report.passed
+    failed, usage_errors = _run(args, ids, args.order, extra)
     return 2 if usage_errors else 1 if failed else 0
 
 
@@ -122,16 +124,13 @@ def _cmd_pmn(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # elapsed_ms is omitted from JSON unless --timings is given, so that
-    # repeated runs with the same options are byte-identical.
-    reports = tasks.run_all()
-    failed = 0
-    for report in reports:
-        _print_report(report, args, include_timing=args.timings)
-        failed += not report.passed
+    # every task at its defaults; elapsed_ms is omitted from JSON unless
+    # --timings is given, so that repeated runs are byte-identical
+    ids = tasks.task_ids()
+    failed, usage_errors = _run(args, ids, include_timing=args.timings)
     if args.format == "text":
-        print(f"{len(reports) - failed}/{len(reports)} tasks passed")
-    return 1 if failed else 0
+        print(f"{len(ids) - failed - usage_errors}/{len(ids)} tasks passed")
+    return 2 if usage_errors else 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -184,16 +184,14 @@ class CongruenceFamily:
         return out
 
 
-def weighted_sum(family: CongruenceFamily, n: int,
-                 series: Optional[Series] = None) -> int:
-    """The family's exact finite sum at progression step n.
+def weighted_sum(family: CongruenceFamily, n: int, series: Series) -> int:
+    """The family's exact finite sum at progression step n, read from
+    ``series`` (the family's sequence, exact past the step's index).
 
     Raises :class:`InexactDivision` if the pre-divisor fails, which
     falsifies the divisibility the claim silently assumes.
     """
     base = family.stride * n + family.offset
-    if series is None:
-        series = named_series(family.sequence, base + 1)
     if family.weight is None:
         total = series.coeff(base)
     else:

@@ -433,14 +433,13 @@ def _multiplies_first(factors: Iterable[Factor]) -> list[Factor]:
 _STRETCHED: dict[tuple[Callable, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
-@cache
 def _stretched_terms(terms, m: int, n: int) -> tuple[tuple[int, int], ...]:
     """The (m k, c) below q^n of the sum ``terms`` at q -> q^m.
 
-    Each n is computed once.  The terms are generated only when n is
-    above every n asked for before with this generator and m; a lower n
-    is a prefix of those, cut where k reaches n.  Keyed by the generator,
-    so a replaced ``SUMS`` row is never served stale terms."""
+    The terms are generated only when n is above every n asked for before
+    with this generator and m; a lower n is a prefix of those, cut by one
+    bisect slice.  Keyed by the generator, so a replaced ``SUMS`` row is
+    never served stale terms."""
     top, stretched = _STRETCHED.get((terms, m), (0, ()))
     if n > top:
         stretched = tuple((m * k, c) for k, c in terms(-(-n // m)))

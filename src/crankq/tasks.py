@@ -14,9 +14,9 @@ Each task is a zero-config callable returning a :class:`CheckReport`;
 passing ``order=N`` rescales it (identity tasks compare up to N,
 scanning tasks scan every step whose index stays below N).  A scanning
 task takes ``n_max`` or ``order``, not both.  The registry is what the
-command-line ``verify`` and ``report`` commands iterate, always in sorted
-id order so output is deterministic, and :func:`run_task` is the one
-place a task is run and timed.
+command-line ``verify`` and ``report`` commands iterate through one
+loop, ``report`` in sorted id order so output is deterministic, and
+:func:`run_task` is the one place a task is run and timed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Optional
 
 from .congruence import (ORACLES, CongruenceFamily, check_progression, oracle_rows,
                          prime_shift, solve_24n_condition)
-from .errors import CrankqError
+from .errors import CrankqError, InexactDivision
 from .etaq import (SUMS, EtaQuotientSpec, SeriesName, ThetaKind, apply_factors,
                    eta_factors, eta_quotient, eta_series, factor_product, named_series,
                    plan_quotient, power_sums, rr_factors, theta_sum)
@@ -39,7 +39,7 @@ from .report import CheckReport, first_mismatch
 from .series import Series
 
 __all__ = ["Identity", "IDENTITIES", "PMN_GRID", "task_ids", "describe", "run_task",
-           "run_all", "run_oracle"]
+           "run_oracle"]
 
 
 def _plain(spec: EtaQuotientSpec, order: int) -> Series:
@@ -557,9 +557,11 @@ def run_task(tid: str, order: Optional[int] = None, **kw) -> CheckReport:
     Every task accepts ``order``; the symbolic recurrence tasks have none
     and ignore it.  Unknown ids raise ValueError; parameters the task does
     not take, and an ``order`` below 1, raise :class:`CrankqError`.
+    An :class:`InexactDivision` from the check falsifies the claim, so it
+    becomes the task's failed report, witness ``{"error": <message>}``.
     The task's signature is read only when ``order`` or a keyword is
-    given; a call with neither (as in :func:`run_all`) runs the task at
-    its defaults without introspecting it.
+    given; a call with neither (as ``crankq report`` makes) runs the task
+    at its defaults without introspecting it.
     """
     entry = _REGISTRY.get(tid)
     if entry is None:
@@ -575,10 +577,8 @@ def run_task(tid: str, order: Optional[int] = None, **kw) -> CheckReport:
         if order is not None and "order" in accepted:
             kw["order"] = order
     started = perf_counter()
-    report = runner(**kw)
+    try:
+        report = runner(**kw)
+    except InexactDivision as exc:
+        report = CheckReport(tid, {}, order or 0, "fail", {"error": str(exc)})
     return replace(report, elapsed_ms=int((perf_counter() - started) * 1000))
-
-
-def run_all(order: Optional[int] = None) -> list[CheckReport]:
-    """Run every task in sorted id order."""
-    return [run_task(tid, order=order) for tid in task_ids()]

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from crankq import tasks
 from crankq.cli import EXIT_CLOSED_PIPE, main
 from crankq.congruence import ORACLE_CAP
 
@@ -236,6 +239,23 @@ def test_verify_all_finishes_every_task_after_usage_errors(capsys):
                          "--theorem", "dis31", "--order", "20")
     assert code == 2
     assert "FAIL f52" in out and "error: dis31:" in err
+
+
+def test_report_counts_a_falsified_divisibility_as_a_failed_check(capsys, monkeypatch):
+    # thm13's sums divided by 7, not 5: the pre-division fails at n = 0,
+    # which falsifies the claim, so thm13 fails with the message as its
+    # witness and the report still runs every other task
+    describe, check = tasks._REGISTRY["thm13"]
+    task, family, n_max = check.args
+    monkeypatch.setitem(tasks._REGISTRY, "thm13", (describe, partial(
+        check.func, task, replace(family, pre_divisor=7), n_max)))
+    code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["task"] for r in reports] == tasks.task_ids()
+    assert [r["task"] for r in reports if r["outcome"] == "fail"] == ["f52", "thm13"]
+    thm13 = next(r for r in reports if r["task"] == "thm13")
+    assert thm13["witness"] == {"error": "sum -850 at n = 0 is not divisible by 7"}
 
 
 def test_verify_thm11_honours_order(capsys):

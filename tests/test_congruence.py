@@ -98,15 +98,15 @@ def test_weighted_sum_pentagonal_crank_example():
                               pre_divisor=5)
     c = named_series("C", 50)
     expected = (c.coeff(49) - 5 * c.coeff(24)) // 5
-    assert weighted_sum(family, 0) == expected
-    assert weighted_sum(family, 0) % 5 == 0
+    assert weighted_sum(family, 0, c) == expected
+    assert weighted_sum(family, 0, c) % 5 == 0
 
 
 def test_weighted_sum_triangular_example():
     family = CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
                               weight=ThetaKind.TRIANGULAR, scale=5)
     a = named_series("a", 17)
-    assert weighted_sum(family, 0) == a.coeff(16) + a.coeff(11) + a.coeff(1)
+    assert weighted_sum(family, 0, a) == a.coeff(16) + a.coeff(11) + a.coeff(1)
     assert family.params()["weight"] == "triangular"
 
 
@@ -117,8 +117,9 @@ def test_conv_series_against_per_coefficient_sums():
                               weight=ThetaKind.TRIANGULAR, scale=5,
                               pre_divisor=5)
     f = named_series(SeriesName.F_CONV, 30)
+    c = named_series(SeriesName.C_CRANK, family.required_order(29))
     for n in range(30):
-        assert weighted_sum(family, n) == f.coeff(n)
+        assert weighted_sum(family, n, c) == f.coeff(n)
 
 
 def test_cap_a_series_against_pentagonal_crank_sums():
@@ -128,8 +129,9 @@ def test_cap_a_series_against_pentagonal_crank_sums():
                               weight=ThetaKind.PENT_6K1, scale=25,
                               pre_divisor=5)
     big_a = named_series(SeriesName.A_CAP, 25)
+    c = named_series(SeriesName.C_CRANK, family.required_order(24))
     for n in range(25):
-        assert weighted_sum(family, n) == big_a.coeff(n)
+        assert weighted_sum(family, n, c) == big_a.coeff(n)
 
 
 def test_weighted_squares_bridge_to_cubic_product():
@@ -188,14 +190,14 @@ def test_weighted_sum_degenerate_weight():
     family = CongruenceFamily(SeriesName.A_RECIP, 7, stride=7, offset=2)
     a = named_series("a", 40)
     for n in range(5):
-        assert weighted_sum(family, n) == a.coeff(7 * n + 2)
+        assert weighted_sum(family, n, a) == a.coeff(7 * n + 2)
 
 
 def test_weighted_sum_inexact_predivision():
     family = CongruenceFamily(SeriesName.P_PARTITION, 5, stride=1, offset=2,
                               pre_divisor=7)
     with pytest.raises(InexactDivision):
-        weighted_sum(family, 0)   # p(2) = 2 is not divisible by 7
+        weighted_sum(family, 0, named_series("p", 3))   # p(2) = 2 is not divisible by 7
 
 
 def test_weighted_sum_insufficient_order():

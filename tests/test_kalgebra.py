@@ -66,6 +66,20 @@ def test_recurrence_witness_names_its_step(monkeypatch):
     assert tasks.run_task("rec36").witness == {"recurrence": "m-step", "m": 0, "n": 1}
 
 
+def test_a_wrong_seed_fails_combo456_and_pmn_eval(monkeypatch):
+    # K^2 added to the seed P(1, -1).  pmn builds every P(m, n) from the
+    # seeds with the very recurrences that rec35 and rec36 check, so
+    # those two pass for any seed; the combination identity and the
+    # direct R-series evaluation are what catch a wrong one
+    seeds = dict(kalgebra._PMN_SEEDS)
+    seeds[(1, -1)] = seeds[(1, -1)] + K * K
+    monkeypatch.setattr(kalgebra, "_PMN_CACHE", seeds)
+    combo = tasks.run_task("combo456")
+    assert not combo.passed and combo.witness["check"] == "symbolic"
+    assert tasks.run_task("pmn-eval").witness == {
+        "m": 1, "n": -3, "exponent": -2, "symbolic": 1, "direct": 0}
+
+
 def test_recurrence_spot_checks():
     m, n = 3, -2
     assert pmn(m, n + 1) == FOUR_K_INV * pmn(m, n) + pmn(m, n - 1)

@@ -27,7 +27,7 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
-def test_run_all_computes_each_cached_coefficient_once(monkeypatch):
+def test_every_task_computes_each_cached_coefficient_once(monkeypatch):
     # From an empty cache, every key is grown only to new orders, so the
     # coefficients its extensions compute add up to the largest order any
     # task requested, counted from the product's shift: nothing is built
@@ -47,7 +47,8 @@ def test_run_all_computes_each_cached_coefficient_once(monkeypatch):
     monkeypatch.setattr(etaq, "_CACHE", {})
     monkeypatch.setattr(etaq, "_lookup", spy_lookup)
     monkeypatch.setattr(etaq._Product, "_extend", spy_extend)
-    tasks.run_all()
+    for tid in tasks.task_ids():
+        tasks.run_task(tid)
     entries = dict(etaq._CACHE)
     assert set(entries) == set(requested) == set(etaq.SeriesName)
     for key, entry in entries.items():
@@ -69,7 +70,8 @@ def test_no_task_multiplies_two_series(monkeypatch, order):
         return mul(self, other)
 
     monkeypatch.setattr(Series, "__mul__", spy_mul)
-    tasks.run_all(order=order)
+    for tid in tasks.task_ids():
+        tasks.run_task(tid, order=order)
     assert products == []
 
 
@@ -132,12 +134,11 @@ def test_every_task_plan_is_pinned(monkeypatch, order):
     for module in (etaq, tasks, kalgebra):
         monkeypatch.setattr(module, "plan_quotient", spy)
     monkeypatch.setattr(etaq, "_CACHE", {})     # named series plan on a miss
-    if order is None:
-        tasks.run_all()
-    else:
-        for tid in tasks.task_ids():
-            if not tid.startswith("oracle-"):
-                tasks.run_task(tid, order=order)
+    for tid in tasks.task_ids():
+        if order is None:
+            tasks.run_task(tid)
+        elif not tid.startswith("oracle-"):
+            tasks.run_task(tid, order=order)
     assert plans == _PLANS
 
 
