@@ -20,23 +20,14 @@ Order propagation rules (stated here once, tested in the suite):
 All values are immutable after construction and all operations are pure,
 so series may be shared freely between threads.
 
-:func:`sparse_pass` is the one product kernel: it multiplies or divides
+There are two product kernels.  :func:`sparse_pass` multiplies or divides
 a dense coefficient list, in place, by a sparse unit series
-``1 + sum c q^k``.  Every eta quotient, R(q) and P(m,n) evaluation is a
+``1 + sum c q^k``: every eta quotient, R(q) and P(m,n) evaluation is a
 sequence of such passes, and :meth:`Series.invert` is one divide pass.
-A multiply with at least :data:`_PACKED_TERMS` = 14 terms below the
-list's length packs the list once into one integer, in slots wide enough
-for every entry of the product, and adds each term as one C-level
-shift-and-add of the whole list; a shorter one adds each term as one
-slice, a C-level ``map`` for coefficients +-1 (all of f_m, psi and both
-halves of R(q)).  A divide never sees the packed form.  Its unit terms
-below :data:`_BLOCK` = 256 and its weighted terms cost one bytecode step
-each per coefficient, and it pushes its far unit terms once per
-finished block of their octave, 256, 512, 1024, ... entries: a smaller
-block costs more in slices than the scalar loop it bypasses.
-A pass can resume on a longer list where it stopped (``start``), which
-is how the cached series of :mod:`crankq.etaq` grow to a higher order
-without recomputing their prefix.
+A pass can resume where it stopped, so the cached series of
+:mod:`crankq.etaq` grow without recomputing their prefix.  The other kernel
+multiplies two lists packed into integers (:func:`_pack`): a product of
+two series is one such product.
 """
 
 from __future__ import annotations
@@ -49,10 +40,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import InexactDivision, NonUnitLeadingCoefficient, OrderExceeded
 
 __all__ = ["Series", "sparse_pass", "signed_terms"]
-
-
-def _nnz(coeffs: tuple[int, ...]) -> int:
-    return sum(1 for c in coeffs if c)
 
 
 def signed_terms(terms: Iterable[tuple[int, int]], var: str,
@@ -111,7 +98,7 @@ def _list_multiply(coeffs: list[int], terms: Sequence[tuple[int, int]],
                 coeffs[lo:] = [x + c * y for x, y in zip(coeffs[lo:], shifted)]
 
 
-def _slot_bytes(coeffs: Sequence[int], terms: Sequence[tuple[int, int]], e: int) -> int:
+def _slot_bytes(coeffs: Sequence[int], terms: Iterable[tuple[int, int]], e: int) -> int:
     """Bytes per slot that hold every entry of ``coeffs`` times
     ``(1 + sum c q^k)^e`` and every partial sum on the way: no entry
     exceeds max|x| (1 + sum |c|)^e in size, so the bit length of max|x|,
@@ -121,24 +108,36 @@ def _slot_bytes(coeffs: Sequence[int], terms: Sequence[tuple[int, int]], e: int)
     return (top.bit_length() + e * reach.bit_length() + 8) // 8
 
 
+def _pack(xs: Sequence[int], w: int) -> tuple[int, int]:
+    """``xs`` biased in slots of w bytes, and the flip mask of the slots' top
+    bits.  Each entry is written as w signed bytes with its top bit flipped,
+    adding 2^(8w-1): the slots are non-negative, so they hold the list with
+    no carries, and less the mask they are the signed sum x_i 2^(8wi)."""
+    flip = int.from_bytes((bytes(w - 1) + b"\x80") * len(xs), "little")
+    return int.from_bytes(b"".join([x.to_bytes(w, "little", signed=True)
+                                    for x in xs]), "little") ^ flip, flip
+
+
+def _unpack(biased: int, w: int, n: int, flip: int, start: int = 0) -> list[int]:
+    """Entries ``start`` to n - 1 of n biased slots of w bytes, the biased
+    form of a signed packed value v being ``(v + flip) & (2^(8wn) - 1)``."""
+    out = ((biased ^ flip) >> start * 8 * w).to_bytes((n - start) * w, "little")
+    unpack = int.from_bytes
+    return [unpack(out[i:i + w], "little", signed=True)
+            for i in range(0, len(out), w)]
+
+
 def _packed_multiply(coeffs: list[int], terms: Sequence[tuple[int, int]],
                      e: int, start: int) -> None:
     """The multiply of :func:`sparse_pass` on one packed integer
-    (Kronecker substitution): x_i sits in slot i of w bytes
-    (:func:`_slot_bytes`), and each term of each pass is one shift-and-add
-    of the whole list.  Packing writes each entry as w signed bytes, joined,
-    and flips each slot's top bit, which adds 2^(8w-1) to every slot: the
-    biased slots are all non-negative, so they hold the list with no
-    carries, and subtracting the flip mask gives the signed packed value.
-    Unpacking undoes both steps for the entries from ``start`` on.  Every k
-    is below ``len(coeffs)``; slots above the list are cut after each pass."""
+    (Kronecker substitution, :func:`_slot_bytes`, :func:`_pack`): each term
+    of each pass is one shift-and-add of the whole list.  Every k is below
+    ``len(coeffs)``; slots above the list are cut after each pass."""
     n = len(coeffs)
     w = _slot_bytes(coeffs, terms, e)
     bits = 8 * w
-    flip = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    biased, flip = _pack(coeffs, w)
     full = (1 << n * bits) - 1
-    biased = int.from_bytes(b"".join([x.to_bytes(w, "little", signed=True)
-                                      for x in coeffs]), "little") ^ flip
     for _ in range(e):
         acc = src = biased - flip
         for k, c in terms:
@@ -149,10 +148,7 @@ def _packed_multiply(coeffs: list[int], terms: Sequence[tuple[int, int]],
             else:
                 acc += c * src << k * bits
         biased = (acc + flip) & full
-    out = ((biased ^ flip) >> start * bits).to_bytes((n - start) * w, "little")
-    unpack = int.from_bytes
-    coeffs[start:] = [unpack(out[i:i + w], "little", signed=True)
-                      for i in range(0, len(out), w)]
+    coeffs[start:] = _unpack(biased, w, n, flip, start)
 
 
 def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
@@ -160,11 +156,10 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     """Multiply ``coeffs`` in place by ``(1 + sum c q^k)^e`` over ``terms``.
 
     ``terms`` holds the (k, c) of the sparse unit series, k >= 1 and
-    ascending.  Each of the ``|e|`` passes costs ``len(coeffs)`` steps per
-    term.  A multiply (e > 0) with at least ``_PACKED_TERMS`` terms below
-    ``len(coeffs)`` runs on one packed integer (:func:`_packed_multiply`),
-    one shift-and-add per term; one with fewer adds each shifted copy to
-    the list in one slice (:func:`_list_multiply`).
+    ascending.  A multiply (e > 0) with at least ``_PACKED_TERMS`` terms
+    below ``len(coeffs)`` runs on one packed integer
+    (:func:`_packed_multiply`); one with fewer adds each shifted copy to
+    the list in one slice per term (:func:`_list_multiply`).
     A divide (e < 0) runs the convolution recurrence
     ``b[n] = a[n] - sum c * b[n - k]``.  A unit term with k >= _BLOCK is
     far: it sits in the octave S <= k < 2S (S = _BLOCK, 2 _BLOCK, ...),
@@ -410,27 +405,17 @@ class Series:
         order = min(self.valuation + other.order, other.valuation + self.order)
         if self.is_zero() or other.is_zero():
             return Series.zero(order)
-        val = self.valuation + other.valuation
-        length = order - val
-        if length <= 0:
-            return Series.zero(order)
-        # Schoolbook product; the operand with fewer nonzero entries
-        # drives the outer loop so sparse factors cost O(N * nnz).
-        a, b = self.coeffs, other.coeffs
-        if _nnz(a) > _nnz(b):
-            a, b = b, a
-        out = [0] * length
-        len_b = len(b)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            lim = length - i
-            if lim <= 0:
-                break
-            seg = b if len_b <= lim else b[:lim]
-            hi = i + len(seg)
-            out[i:hi] = [x + ai * y if y else x for x, y in zip(out[i:hi], seg)]
-        return Series(val, out, order)
+        # both cut to the n entries of the product (so one flip mask serves
+        # both), packed in slots that hold max|b| (1 + sum |a_k|), and
+        # multiplied as two integers
+        n = order - self.valuation - other.valuation
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        w = _slot_bytes(b, enumerate(a), 1)
+        x, flip = _pack(a, w)
+        y, flip = _pack(b, w)
+        out = _unpack(((x - flip) * (y - flip) + flip) & (1 << 8 * w * n) - 1,
+                      w, n, flip)
+        return Series(self.valuation + other.valuation, out, order)
 
     __rmul__ = __mul__
 

@@ -1,15 +1,18 @@
 """Arithmetic core: exactness, canonical form and order propagation."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crankq import series
 from crankq.errors import (InexactDivision, NonUnitLeadingCoefficient,
                            OrderExceeded)
 from crankq.etaq import eta_series, named_series
 from crankq.series import Series
 
-from oracles import naive_euler, naive_inv, partition_count
+from oracles import naive_euler, naive_inv, naive_mul, naive_pow, partition_count
 
 
 def f1(order):
@@ -69,7 +72,6 @@ def test_cube_matches_brute_force_product():
     order = 40
     cube = f1(order) * f1(order) * f1(order)
     brute = naive_euler(1, order)
-    from oracles import naive_mul
     brute3 = naive_mul(naive_mul(brute, brute, order), brute, order)
     assert list(cube.coeffs) == brute3[: order]
     # the classical sparse form: weights (-1)^k (2k+1) at k(k+1)/2
@@ -392,6 +394,101 @@ def reference_extract(a, m, r):
 def test_extract_matches_per_coefficient_reference(a, m):
     for r in range(m):
         assert a.extract(m, r) == reference_extract(a, m, r)
+
+
+# ----------------------------------------------------------------------
+# Series x Series, and powers, against the naive oracles
+
+# leading coefficients of a sparse side: units, and non-units up to 2^200
+LEADS = [1, -1, 2, -7, 2 ** 200]
+
+
+@st.composite
+def product_operand(draw):
+    """A series of 1 to 300 entries at valuation -5..5, either 1-5 nonzeros
+    led by a coefficient of LEADS, or dense (zeros included, so its first
+    entries may be stripped); or the zero series.  Entries are small or
+    +-(2^b - 1), which fill b bits."""
+    val = draw(st.integers(-5, 5))
+    length = draw(st.integers(1, 300))
+    if draw(st.integers(0, 9)) == 0:
+        return Series.zero(val + length)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    edge = (1 << draw(st.sampled_from([1, 7, 8, 63, 64, 200]))) - 1
+    values = [0, 1, -1, 2, -3, 9, edge, -edge]
+    if draw(st.booleans()):
+        coeffs = [0] * length
+        coeffs[0] = draw(st.sampled_from(LEADS))
+        for k in rng.sample(range(1, length), min(draw(st.integers(0, 4)), length - 1)):
+            coeffs[k] = rng.choice(values[1:])
+    else:
+        coeffs = [rng.choice(values) for _ in range(length)]
+    return Series(val, coeffs, val + length)
+
+
+@given(product_operand(), product_operand())
+@example(Series(0, [2] + [0] * 99, 100), Series(3, [1] * 80, 83))
+@settings(max_examples=200, deadline=None)
+def test_product_matches_naive_mul(x, y):
+    order = min(x.valuation + y.order, y.valuation + x.order)
+    if x.is_zero() or y.is_zero():
+        want = Series.zero(order)
+    else:
+        val = x.valuation + y.valuation
+        coeffs = naive_mul(list(x.coeffs), list(y.coeffs), order - val)
+        want = Series(val, coeffs, order)
+    assert x * y == want
+    assert y * x == want
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_reaches_the_edge_of_its_slot(sign, spare):
+    # a is n = 2^L - 2 ones, so 1 + sum |a_k| = 2^L - 1, and b is n entries
+    # 2^beta - 1: entry n - 1 of a b is n (2^beta - 1), of bit length
+    # beta + L.  With beta + L + 1 a whole number of bytes (spare 0) it
+    # fills its slot up to the sign bit; with beta + L (spare 1) it fills
+    # whole bytes, and the sign bit takes one more
+    size_bits = 5
+    n = 2 ** size_bits - 2
+    beta = 40 + (spare - 1 - size_bits) % 8
+    a = [1] * n
+    b = [sign * ((1 << beta) - 1)] * n
+    w = series._slot_bytes(b, list(enumerate(a)), 1)
+    assert 8 * w == beta + size_bits + 1 + 7 * spare
+    got = Series(0, a, n) * Series(0, b, n)
+    assert list(got.coeffs) == naive_mul(a, b, n)
+    assert got.coeffs[-1] == sign * n * ((1 << beta) - 1)
+    assert max(map(abs, got.coeffs)).bit_length() == beta + size_bits
+
+
+@st.composite
+def power_base(draw, unit=False):
+    val = draw(st.integers(-3, 3))
+    lead = draw(st.sampled_from([1, -1] if unit else [1, -1, 2, -3]))
+    rest = draw(st.lists(st.integers(-9, 9), max_size=40))
+    return Series(val, [lead] + rest, val + 1 + len(rest))
+
+
+@given(power_base(), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_naive_pow(x, k):
+    # x^k has valuation k v and order (k - 1) v + order: the product rule
+    # applied k - 1 times
+    v, length = x.valuation, len(x.coeffs)
+    want = Series(k * v, naive_pow(list(x.coeffs), k, length), (k - 1) * v + x.order)
+    assert x ** k == want
+
+
+@given(power_base(unit=True), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_negative_pow_matches_naive_inverse(x, k):
+    # 1/x has valuation -v and order order - 2 v (the invert rule), so
+    # x^-k has valuation -k v and order order - (k + 1) v
+    v, length = x.valuation, len(x.coeffs)
+    inverse = naive_inv(list(x.coeffs), length)
+    want = Series(-k * v, naive_pow(inverse, k, length), x.order - (k + 1) * v)
+    assert x ** -k == want
 
 
 # ----------------------------------------------------------------------

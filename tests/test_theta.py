@@ -12,6 +12,8 @@ from crankq.etaq import (EtaQuotientSpec, ThetaKind, eta_series, named_series, r
 from crankq.series import Series
 from crankq.tasks import IDENTITIES, run_task
 
+from oracles import naive_mul
+
 
 def test_triangular_sum_small():
     t = theta_sum(ThetaKind.TRIANGULAR, 11)
@@ -81,7 +83,8 @@ def test_5dissections_preconditions():
 
 
 # the right sides as the schoolbook route built them: quotient, then the
-# (s, c, p) terms of the bracket sum of c * q^s * R(q^5)^p
+# (s, c, p) terms of the bracket sum of c * q^s * R(q^5)^p; the test
+# multiplies the two with the naive oracle, which shares no product code
 SCHOOLBOOK_SIDES = {
     "31": ({25: 1}, [(0, 1, -1), (1, -1, 0), (2, -1, 1)]),
     "32": ({25: 5, 5: -6}, [(0, 1, -4), (1, 1, -3), (2, 2, -2), (3, 3, -1), (4, 5, 0),
@@ -96,8 +99,10 @@ def test_dissection_right_side_matches_schoolbook_route(which, order):
     # equals the dense quotient times the bracket, coefficient for
     # coefficient
     quotient, bracket = SCHOOLBOOK_SIDES[which]
-    want = eta_series(quotient, order) * next(etaq.power_sums(
-        [bracket], etaq.rr_factors(5), order))
+    rr_bracket = next(etaq.power_sums([bracket], etaq.rr_factors(5), order))
+    assert rr_bracket.valuation == 0 and rr_bracket.order == order
+    want = Series(0, naive_mul(list(eta_series(quotient, order).coeffs),
+                               list(rr_bracket.coeffs), order), order)
     got = tasks._dissection_sides(which, order)[1]
     assert got == want and want.order == order
 
