@@ -233,8 +233,11 @@ def rr_factors(m: int, e: int = 1) -> list[Factor]:
 # Term counts are taken below this order.  Every count grows as
 # sqrt(N / m), so the ranking of plans is the same at every order N.
 _COST_ORDER = 1 << 12
-# ns per term-step of one pass at N = 4000, by kernel path (the README's
-# pass table): weighted row (some term not +-1) -> (multiply, divide).
+# ns per term-step of one pass at N = 4000 (the README's first pass
+# table): weighted row (some term not +-1) -> (multiply, divide).  The
+# multiply column priced a per-term list loop that no longer runs; the
+# packed 23/37 ns would only swap the two laid-out leading multiplies of
+# 3 plans and remove no divide, so it stays.
 _PRICES = {False: (36, 42), True: (61, 71)}
 # A sum at q -> q^2m has 1/sqrt(2) of the terms it has at q -> q^m.
 _STEP_UP = 1 / sqrt(2)

@@ -20,18 +20,21 @@ Order propagation rules (stated here once, tested in the suite):
 All values are immutable after construction and all operations are pure,
 so series may be shared freely between threads.
 
-There are two product kernels.  :func:`sparse_pass` multiplies or divides
-a dense coefficient list, in place, by a sparse unit series
-``1 + sum c q^k``: every eta quotient, R(q) and P(m,n) evaluation is a
-sequence of such passes, and :meth:`Series.invert` is one divide pass.
-A pass can resume where it stopped, so the cached series of
-:mod:`crankq.etaq` grow without recomputing their prefix.  The other kernel
-multiplies two lists packed into integers (:func:`_pack`): a product of
-two series is one such product.
+:func:`sparse_pass` multiplies or divides a dense coefficient list, in
+place, by a sparse unit series ``1 + sum c q^k``: every eta quotient, R(q)
+and P(m,n) evaluation is a sequence of such passes, and
+:meth:`Series.invert` is one divide pass.  A pass can resume where it
+stopped, so the cached series of :mod:`crankq.etaq` grow without
+recomputing their prefix.  Every multiply runs on integers packed from the
+lists (:func:`_pack`, slots of one machine word through an ``array`` where
+they fit): a multiply pass is one shift-and-add per term, and a product of
+two series is one product of two such integers.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from itertools import repeat
 from operator import add, sub
@@ -69,59 +72,47 @@ def signed_terms(terms: Iterable[tuple[int, int]], var: str,
 # process-time medians).  Dropping the pushes altogether took 1.09-1.21x
 # the time at N = 30000 and 1.19-1.32x at 75015, so they stay from 256 up.
 _BLOCK = 256
-# The fewest terms below the list's length for which a multiply runs packed
-# (_packed_multiply): packing and unpacking cost a few list steps per entry,
-# and each term then costs one shift-and-add in place of one slice.  Against
-# the list loop, on the partition numbers and on R(q) at N = 104, 404, 2002
-# and 4004 (interleaved medians), the unit rows eta, rr-num and rr-den(q^2)
-# ran 0.59-0.92x at 8 terms, 0.86-1.31x at 12 and 0.92-1.48x at 14; the
-# weighted jacobi ran 1.34-2.04x at 12, and every full row 1.13-3.56x
-# except rr-den(q^2) at N = 104, 0.58-0.67x, which has 8 terms.
-_PACKED_TERMS = 14
-
-
-def _list_multiply(coeffs: list[int], terms: Sequence[tuple[int, int]],
-                   e: int, start: int) -> None:
-    """The multiply of :func:`sparse_pass` by one slice per term and pass:
-    a C-level ``map(add|sub, ...)`` for c = +-1, a comprehension otherwise.
-    Every k is below ``len(coeffs)``."""
-    for _ in range(e):
-        src = coeffs[:]
-        for k, c in terms:
-            lo = max(k, start)
-            shifted = src if lo == k else src[lo - k:]
-            if c == 1:
-                coeffs[lo:] = map(add, coeffs[lo:], shifted)
-            elif c == -1:
-                coeffs[lo:] = map(sub, coeffs[lo:], shifted)
-            else:
-                coeffs[lo:] = [x + c * y for x, y in zip(coeffs[lo:], shifted)]
+# Signed array typecodes by itemsize, on a little-endian host only: there
+# an array of one of them has the byte layout of slots of that width, so
+# it packs and unpacks them at C speed (:func:`_pack`, :func:`_unpack`).
+_WORDS = ({array(t).itemsize: t for t in "bhilq"}
+          if sys.byteorder == "little" else {})
 
 
 def _slot_bytes(coeffs: Sequence[int], terms: Iterable[tuple[int, int]], e: int) -> int:
     """Bytes per slot that hold every entry of ``coeffs`` times
     ``(1 + sum c q^k)^e`` and every partial sum on the way: no entry
     exceeds max|x| (1 + sum |c|)^e in size, so the bit length of max|x|,
-    plus e times that of 1 + sum |c|, plus a sign bit, in whole bytes."""
+    plus e times that of 1 + sum |c|, plus a sign bit, in whole bytes.
+    A width of at most 8 is rounded up to 1, 2, 4 or 8, the widths of
+    machine words, which :func:`_pack` moves through an ``array``."""
     top = max(max(coeffs), -min(coeffs))
     reach = 1 + sum(abs(c) for _, c in terms)
-    return (top.bit_length() + e * reach.bit_length() + 8) // 8
+    w = (top.bit_length() + e * reach.bit_length() + 8) // 8
+    return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
 def _pack(xs: Sequence[int], w: int) -> tuple[int, int]:
     """``xs`` biased in slots of w bytes, and the flip mask of the slots' top
-    bits.  Each entry is written as w signed bytes with its top bit flipped,
-    adding 2^(8w-1): the slots are non-negative, so they hold the list with
-    no carries, and less the mask they are the signed sum x_i 2^(8wi)."""
+    bits.  Each entry is written as w signed little-endian bytes (by one
+    ``array`` for a word width, else entry by entry) with its top bit
+    flipped, adding 2^(8w-1): the slots are non-negative, so they hold the
+    list with no carries, and less the mask they are the signed sum
+    x_i 2^(8wi)."""
     flip = int.from_bytes((bytes(w - 1) + b"\x80") * len(xs), "little")
-    return int.from_bytes(b"".join([x.to_bytes(w, "little", signed=True)
-                                    for x in xs]), "little") ^ flip, flip
+    if w in _WORDS:
+        raw = array(_WORDS[w], xs).tobytes()
+    else:
+        raw = b"".join([x.to_bytes(w, "little", signed=True) for x in xs])
+    return int.from_bytes(raw, "little") ^ flip, flip
 
 
 def _unpack(biased: int, w: int, n: int, flip: int, start: int = 0) -> list[int]:
     """Entries ``start`` to n - 1 of n biased slots of w bytes, the biased
     form of a signed packed value v being ``(v + flip) & (2^(8wn) - 1)``."""
     out = ((biased ^ flip) >> start * 8 * w).to_bytes((n - start) * w, "little")
+    if w in _WORDS:
+        return array(_WORDS[w], out).tolist()
     unpack = int.from_bytes
     return [unpack(out[i:i + w], "little", signed=True)
             for i in range(0, len(out), w)]
@@ -156,10 +147,10 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
     """Multiply ``coeffs`` in place by ``(1 + sum c q^k)^e`` over ``terms``.
 
     ``terms`` holds the (k, c) of the sparse unit series, k >= 1 and
-    ascending.  A multiply (e > 0) with at least ``_PACKED_TERMS`` terms
-    below ``len(coeffs)`` runs on one packed integer
-    (:func:`_packed_multiply`); one with fewer adds each shifted copy to
-    the list in one slice per term (:func:`_list_multiply`).
+    ascending.  A multiply (e > 0) runs on one packed integer
+    (:func:`_packed_multiply`), one shift-and-add per term below
+    ``len(coeffs)`` and pass; with no term there it leaves the list as
+    it is.
     A divide (e < 0) runs the convolution recurrence
     ``b[n] = a[n] - sum c * b[n - k]``.  A unit term with k >= _BLOCK is
     far: it sits in the octave S <= k < 2S (S = _BLOCK, 2 _BLOCK, ...),
@@ -186,10 +177,8 @@ def sparse_pass(coeffs: list[int], terms: Sequence[tuple[int, int]],
         raise ValueError(f"only a single pass resumes, got e = {e}")
     if e > 0:
         live = terms[:bisect_left(terms, (n,))]
-        if len(live) >= _PACKED_TERMS:
+        if live:
             _packed_multiply(coeffs, live, e, start)
-        else:
-            _list_multiply(coeffs, live, e, start)
         return
     if e == 0:
         return

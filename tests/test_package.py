@@ -59,8 +59,9 @@ def test_every_task_computes_each_cached_coefficient_once(monkeypatch):
 
 @pytest.mark.parametrize("order", [None, 400])
 def test_no_task_multiplies_two_series(monkeypatch, order):
-    # every task build is a factor list run by passes: the schoolbook
-    # Series * Series product stays library API and a test reference
+    # every task build is a factor list run by passes: Series * Series,
+    # one packed product, is library API only, which the tests check
+    # against oracles.naive_mul
     products = []
     mul = Series.__mul__
 

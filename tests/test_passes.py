@@ -9,7 +9,7 @@ local copy of the unblocked per-coefficient kernel that the blocked one
 replaced, and with local copies of the corner-first and the centre-out
 P(m,n) lattice walks that the hub walk replaced, and of the ladder that
 climbed its first step out of 1 by passes.  Multiplies that run on one
-packed integer are compared with the per-term list loop they bypass.
+packed integer are also checked at the edges of their slots.
 Planned eta quotients are also compared with the plain route, |e| passes
 of f_m.
 """
@@ -176,23 +176,46 @@ def test_pass_at_block_boundaries_matches_naive_and_reference(n, e, weights):
 
 
 # ----------------------------------------------------------------------
-# multiplies with PACKED or more terms below the list's length, run on one
-# packed integer, against the reference kernel, the naive oracles and the
-# per-term list loop they bypass
+# multiplies, each run on one packed integer, against the reference kernel
+# and the naive oracles; the slots, packed at word widths through an array
+# and at wider ones entry by entry
 
-PACKED = series._PACKED_TERMS
 # +-1 as in eta and R(q), +-2 as in squares, +-(2k+1) as in jacobi
 PACKED_WEIGHTS = [1, -1, 2, -2] + [s * (2 * k + 1) for k in range(1, 30) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 11])
+@pytest.mark.parametrize("start", [0, 1, 5])
+def test_pack_round_trips_the_edges_of_its_slots(w, start):
+    # the largest, the smallest and the most negative entry of a w-byte
+    # slot, next to small ones, packed against the signed sum built by
+    # shifts and read back from start on
+    top = 1 << 8 * w - 1
+    xs = [top - 1, 1 - top, -top, 0, -1, 1, -top, top - 1]
+    biased, flip = series._pack(xs, w)
+    assert flip == sum(top << 8 * w * i for i in range(len(xs)))
+    assert biased - flip == sum(x << 8 * w * i for i, x in enumerate(xs))
+    assert series._unpack(biased, w, len(xs), flip, start) == xs[start:]
+
+
+@pytest.mark.parametrize("bits, w", [(8, 1), (9, 2), (16, 2), (17, 4), (32, 4),
+                                     (33, 8), (64, 8), (65, 9), (72, 9), (73, 10)])
+def test_slot_width_rounds_up_to_a_word_up_to_8_bytes(bits, w):
+    # bits for max|x| = 2^(bits - 3) - 1 times 1 + q, whose 1 + sum |c| = 2
+    # takes 2 bits, and a sign bit: up to 8 whole bytes are rounded up to
+    # the next word width
+    coeffs = [(1 << bits - 3) - 1, 0]
+    assert series._slot_bytes(coeffs, [(1, 1)], 1) == w
 
 
 @st.composite
 def packed_factor(draw):
     """A list of length n <= 400 with entries up to +-2^300, the terms of
-    some 1 + sum c q^k with PACKED to 120 of them below n (and a few past
-    it), a power e in 1..3 and, for e = 1, a resume point.  Up to three
+    some 1 + sum c q^k with 1 to 120 of them below n (and a few past it),
+    a power e in 1..3 and, for e = 1, a resume point.  Up to three
     entries are replaced by the edge values of the slot width computed for
     the rest of the list."""
-    live = draw(st.integers(PACKED, 120))
+    live = draw(st.integers(1, 120))
     n = draw(st.integers(live + 1, 400))
     e = draw(st.integers(1, 3))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -209,18 +232,16 @@ def packed_factor(draw):
 
 
 @given(packed_factor())
-@example(([15] * 20, [(k, 1) for k in range(1, PACKED + 1)], 1, 0))
-@example(([-1] * 40, [(k, 2 * k + 1) for k in range(1, PACKED + 1)], 3, 0))
+@example(([15] * 20, [(k, 1) for k in range(1, 15)], 1, 0))
+@example(([-1] * 40, [(k, 2 * k + 1) for k in range(1, 15)], 3, 0))
+@example(([127, -128, 5], [(1, 1)], 1, 1))
 @DIFF
-def test_packed_multiply_matches_list_loop_reference_and_naive(case):
+def test_packed_multiply_matches_reference_and_naive(case):
     coeffs, terms, e, start = case
     n = len(coeffs)
     live = [(k, c) for k, c in terms if k < n]
-    assert len(live) >= PACKED
-    packed, listed = list(coeffs), list(coeffs)
+    packed = list(coeffs)
     series._packed_multiply(packed, live, e, start)
-    series._list_multiply(listed, live, e, start)
-    assert packed == listed
     check_pass(coeffs, terms, e)        # a fresh pass, through sparse_pass
     whole = list(coeffs)
     reference_pass(whole, terms, e)
@@ -237,55 +258,53 @@ def test_packed_product_reaches_the_edge_of_its_slot(size, e, sign, spare):
     # size terms of weight 1, so 1 + sum |c| = 2^L - 1, and every entry
     # 2^b - 1: once the index passes e * size, an entry is
     # (2^b - 1)(2^L - 1)^e, whose bit length is b + e L.  With b + e L + 1
-    # a whole number of bytes (spare 0) it fills its slot up to the sign
-    # bit; with b + e L a whole number of bytes (spare 1) it fills whole
-    # bytes, and the sign bit takes one more
+    # = 8 w (spare 0) it fills its slot up to the sign bit; with
+    # b + e L = 8 (w - 1) (spare 1) it fills whole bytes, and the sign bit
+    # takes one more.  A slot of exactly 8 bytes is a word, packed through
+    # an array; one of 12 is packed entry by entry
     bits = (size + 1).bit_length()
-    b = 40 + (spare - 41 - e * bits) % 8
     n = e * size + 5
-    coeffs = [sign * ((1 << b) - 1)] * n
     terms = [(k, 1) for k in range(1, size + 1)]
-    w = series._slot_bytes(coeffs, terms, e)
-    assert 8 * w == b + e * bits + 1 + 7 * spare
-    got, want = list(coeffs), list(coeffs)
-    sparse_pass(got, terms, e)
-    reference_pass(want, terms, e)
-    assert got == want
-    assert got[-1] == sign * ((1 << b) - 1) * (2 ** bits - 1) ** e
-    assert max(map(abs, got)).bit_length() == b + e * bits
+    for w in (8, 12):
+        b = 8 * w - 1 - 7 * spare - e * bits
+        coeffs = [sign * ((1 << b) - 1)] * n
+        assert series._slot_bytes(coeffs, terms, e) == w
+        got, want = list(coeffs), list(coeffs)
+        sparse_pass(got, terms, e)
+        reference_pass(want, terms, e)
+        assert got == want
+        assert got[-1] == sign * ((1 << b) - 1) * (2 ** bits - 1) ** e
+        assert max(map(abs, got)).bit_length() == b + e * bits
 
 
-def packed_and_list_multiplies(monkeypatch, run):
-    """{"packed": calls, "list": calls} of the two multiply paths of
-    sparse_pass while ``run()`` builds from an empty cache."""
-    counts = {"packed": 0, "list": 0}
+def packed_multiplies(monkeypatch, run):
+    """Calls of sparse_pass's packed multiply while ``run()`` builds from
+    an empty cache."""
+    calls = 0
 
-    def spy(path, multiply):
-        def counted(coeffs, terms, e, start):
-            counts[path] += 1
-            multiply(coeffs, terms, e, start)
-        return counted
+    def counted(coeffs, terms, e, start):
+        nonlocal calls
+        calls += 1
+        multiply(coeffs, terms, e, start)
 
+    multiply = series._packed_multiply
     with monkeypatch.context() as patched:
         patched.setattr(etaq, "_CACHE", {})
-        patched.setattr(series, "_packed_multiply", spy("packed", series._packed_multiply))
-        patched.setattr(series, "_list_multiply", spy("list", series._list_multiply))
+        patched.setattr(series, "_packed_multiply", counted)
         run()
-    return counts
+    return calls
 
 
-# (packed, list) multiply calls, recorded when the packed path landed
-@pytest.mark.parametrize("run, packed, listed", [
-    # the R(q) lattice walk and the K ladder of the P(m,n) grid at order
-    # 400: every multiply by rr-num or rr-den at q and q^2 has 17 or more
-    # terms below 404
-    (lambda: run_task("pmn-eval", order=400), 112, 2),
+# multiply passes, every one of them packed
+@pytest.mark.parametrize("run, packed", [
+    # the R(q) lattice walk and the K ladder of the P(m,n) grid at order 400
+    (lambda: run_task("pmn-eval", order=400), 114),
     # d = jacobi(q) f_1 phi(-q^2) f_4 and A = phi(-q) jacobi(q^5)^2 /
     # jacobi(q^2): the multiply passes left after the laid-out pairs
-    (lambda: (named_series("d", 4000), named_series("A", 4000)), 3, 0),
+    (lambda: (named_series("d", 4000), named_series("A", 4000)), 3),
 ], ids=["pmn-eval-400", "d-and-A-4000"])
-def test_packed_multiplies_fire_where_the_terms_are_many(run, packed, listed, monkeypatch):
-    assert packed_and_list_multiplies(monkeypatch, run) == {"packed": packed, "list": listed}
+def test_packed_multiplies_fire_where_the_terms_are_many(run, packed, monkeypatch):
+    assert packed_multiplies(monkeypatch, run) == packed
 
 
 def test_zero_power_is_no_pass():

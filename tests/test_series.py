@@ -446,20 +446,21 @@ def test_product_matches_naive_mul(x, y):
 def test_product_reaches_the_edge_of_its_slot(sign, spare):
     # a is n = 2^L - 2 ones, so 1 + sum |a_k| = 2^L - 1, and b is n entries
     # 2^beta - 1: entry n - 1 of a b is n (2^beta - 1), of bit length
-    # beta + L.  With beta + L + 1 a whole number of bytes (spare 0) it
-    # fills its slot up to the sign bit; with beta + L (spare 1) it fills
-    # whole bytes, and the sign bit takes one more
+    # beta + L.  With beta + L + 1 = 8 w (spare 0) it fills its slot up to
+    # the sign bit; with beta + L = 8 (w - 1) (spare 1) it fills whole
+    # bytes, and the sign bit takes one more.  A slot of exactly 8 bytes is
+    # a word, packed through an array; one of 12 is packed entry by entry
     size_bits = 5
     n = 2 ** size_bits - 2
-    beta = 40 + (spare - 1 - size_bits) % 8
     a = [1] * n
-    b = [sign * ((1 << beta) - 1)] * n
-    w = series._slot_bytes(b, list(enumerate(a)), 1)
-    assert 8 * w == beta + size_bits + 1 + 7 * spare
-    got = Series(0, a, n) * Series(0, b, n)
-    assert list(got.coeffs) == naive_mul(a, b, n)
-    assert got.coeffs[-1] == sign * n * ((1 << beta) - 1)
-    assert max(map(abs, got.coeffs)).bit_length() == beta + size_bits
+    for w in (8, 12):
+        beta = 8 * w - 1 - 7 * spare - size_bits
+        b = [sign * ((1 << beta) - 1)] * n
+        assert series._slot_bytes(b, list(enumerate(a)), 1) == w
+        got = Series(0, a, n) * Series(0, b, n)
+        assert list(got.coeffs) == naive_mul(a, b, n)
+        assert got.coeffs[-1] == sign * n * ((1 << beta) - 1)
+        assert max(map(abs, got.coeffs)).bit_length() == beta + size_bits
 
 
 @st.composite
