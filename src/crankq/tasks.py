@@ -5,10 +5,15 @@ check that serves several ids is bound to each by position, so no id
 can be made to run another's.  The named claims of the paper are
 defined here on top of :mod:`~crankq.congruence`, and so are the series
 identities: each eta-quotient identity a task checks is an
-:class:`Identity` row of :data:`IDENTITIES`.  The checks the planner
-relies on (``theta-*``, ``k33``, ``k34``) build their reference side by
-the plain route, |e| passes of f_m, never by a plan that could use the
-identity being checked.  Every check has its one body in this module.
+:class:`Identity` row of :data:`IDENTITIES`, and each claim whose whole
+check is one progression scan is a :class:`CongruenceFamily` row of
+:data:`FAMILIES`.  The progressions derived from a task's parameters
+(``thm11``'s classes, the 5p^2 rows of ``thm16`` and ``cr2``) and the
+vanishing halves of two-part checks (``a54``, ``f52``) stay computed in
+their checks.  The checks the planner relies on (``theta-*``, ``k33``,
+``k34``) build their reference side by the plain route, |e| passes of
+f_m, never by a plan that could use the identity being checked.  Every
+check has its one body in this module.
 
 Each task is a zero-config callable returning a :class:`CheckReport`;
 passing ``order=N`` rescales it (identity tasks compare up to N,
@@ -38,8 +43,8 @@ from .kalgebra import (K, KPolynomial, _check_grid, combo_sides, eval_at_K_many,
 from .report import CheckReport, first_mismatch
 from .series import Series
 
-__all__ = ["Identity", "IDENTITIES", "PMN_GRID", "task_ids", "describe", "run_task",
-           "run_oracle"]
+__all__ = ["Identity", "IDENTITIES", "FAMILIES", "PMN_GRID", "task_ids", "describe",
+           "run_task", "run_oracle"]
 
 
 def _plain(spec: EtaQuotientSpec, order: int) -> Series:
@@ -116,6 +121,30 @@ IDENTITIES: dict[str, Identity] = {
         (1, _spec({1: 3, 2: -1, 5: 1, 10: -3}, -1)), (4, _spec({}))), plain=True),
 }
 
+# task id -> (description, the progression family the task scans, default n_max)
+FAMILIES: dict[str, tuple[str, CongruenceFamily, int]] = {
+    "thm13": ("pentagonal-weighted crank sums over 50n+49, /5, vanish mod 5",
+              CongruenceFamily(SeriesName.C_CRANK, 5, stride=50, offset=49,
+                               weight=ThetaKind.PENT_6K1, scale=25, pre_divisor=5), 10),
+    "thm14": ("reciprocal sequence vanishes mod 7 on 7n+2",
+              CongruenceFamily(SeriesName.A_RECIP, 7, stride=7, offset=2), 100),
+    "thm15a": ("triangular sums of a over 25n+16 vanish mod 5",
+               CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
+                                weight=ThetaKind.TRIANGULAR, scale=5), 20),
+    "thm15b": ("triangular sums of C over 125n+114, /5, vanish mod 25",
+               CongruenceFamily(SeriesName.C_CRANK, 25, stride=125, offset=114,
+                                weight=ThetaKind.TRIANGULAR, scale=5, pre_divisor=5), 7),
+    "cr1": ("pentagonal-weighted sums of a over 25n+21 vanish mod 5",
+            CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=21,
+                             weight=ThetaKind.PENT_6K1, scale=5), 20),
+    "smoke5": ("partition numbers vanish mod 5 on 5n+4",
+               CongruenceFamily(SeriesName.P_PARTITION, 5, stride=5, offset=4), 100),
+    "smoke7": ("partition numbers vanish mod 7 on 7n+5",
+               CongruenceFamily(SeriesName.P_PARTITION, 7, stride=7, offset=5), 100),
+    "smoke11": ("partition numbers vanish mod 11 on 11n+6",
+                CongruenceFamily(SeriesName.P_PARTITION, 11, stride=11, offset=6), 100),
+}
+
 
 def _n_max_for(n_max: Optional[int], order: Optional[int], stride: int,
                offset: int, default: int) -> int:
@@ -135,10 +164,11 @@ def _n_max_for(n_max: Optional[int], order: Optional[int], stride: int,
     return max((order - 1 - offset) // stride, 0)
 
 
-def _check_family(tid: str, family: CongruenceFamily, default: int,
-                  n_max: Optional[int] = None,
+def _check_family(tid: str, n_max: Optional[int] = None,
                   order: Optional[int] = None) -> CheckReport:
-    """Scan one progression family; n_max defaults to ``default``."""
+    """Scan the progression family of ``tid``'s :data:`FAMILIES` row;
+    n_max defaults to the row's."""
+    _, family, default = FAMILIES[tid]
     steps = _n_max_for(n_max, order, family.stride, family.offset, default)
     return check_progression(family, steps, task=tid)
 
@@ -216,7 +246,8 @@ def _check_ch_h(p: int = 13, n_max: Optional[int] = None, corollary_n_max: int =
     """The multiplicative relation h(pn + shift) = +-p h(n/p) of the cubic
     product f_1^3 f_2, shift = 5(p^2-1)/24, for a prime p in {13, 17, 19,
     23} mod 24; h(n/p) is 0 unless p divides n.  The sign, one per prime,
-    is read at the first nonzero right side and then enforced.  Then the
+    is read at the first nonzero right side and then enforced; the
+    ``sign`` param is None until it is read.  Then the
     corollary h(p^2 n + p r + shift) = 0 for r = 1 .. p-1, n <=
     corollary_n_max.  n_max defaults to 100, or to the most n with
     pn + shift below ``order``.  A negative corollary_n_max would scan no
@@ -228,7 +259,7 @@ def _check_ch_h(p: int = 13, n_max: Optional[int] = None, corollary_n_max: int =
     order = max(p * n_max, p * p * corollary_n_max + p * (p - 1)) + shift + 1
     series = named_series(SeriesName.H_CH, order)
     params = {"sequence": "h", "p": p, "n_max": n_max,
-              "corollary_n_max": corollary_n_max, "shift": shift}
+              "corollary_n_max": corollary_n_max, "shift": shift, "sign": None}
 
     def failures() -> Iterator[dict]:      # from_failures draws up to the first
         sign = 0
@@ -237,12 +268,12 @@ def _check_ch_h(p: int = 13, n_max: Optional[int] = None, corollary_n_max: int =
             rhs = p * series.coeff(n // p) if n % p == 0 else 0
             if sign == 0 and rhs != 0:
                 sign = 1 if lhs == rhs else -1 if lhs == -rhs else 0
+                params["sign"] = sign or None
                 if sign == 0:
                     yield {"n": n, "lhs": lhs, "rhs_times_p": rhs,
                            "reason": "no consistent sign"}
             elif lhs != sign * rhs:
                 yield {"n": n, "lhs": lhs, "rhs_times_p": sign * rhs, "sign": sign}
-        params["sign"] = sign if sign else None
         for n in range(corollary_n_max + 1):
             for r in range(1, p):
                 index = p * p * n + p * r + shift
@@ -452,34 +483,13 @@ def _check_combo456(order: int = 100) -> CheckReport:
 
 _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
     # congruences for the named sequences
+    **{tid: (text, partial(_check_family, tid)) for tid, (text, _, _) in FAMILIES.items()},
     "thm11": ("crank parity divisible by 5^(a+1) on the 24n=1 mod 5^(2a+1) class",
               _check_thm11),
     "thm12": ("exact identity for the C(5n+4) column",
               _check_thm12),
-    "thm13": ("pentagonal-weighted crank sums over 50n+49, /5, vanish mod 5",
-              partial(_check_family, "thm13",
-                      CongruenceFamily(SeriesName.C_CRANK, 5, stride=50, offset=49,
-                                       weight=ThetaKind.PENT_6K1, scale=25,
-                                       pre_divisor=5), 10)),
-    "thm14": ("reciprocal sequence vanishes mod 7 on 7n+2",
-              partial(_check_family, "thm14",
-                      CongruenceFamily(SeriesName.A_RECIP, 7, stride=7,
-                                       offset=2), 100)),
-    "thm15a": ("triangular sums of a over 25n+16 vanish mod 5",
-               partial(_check_family, "thm15a",
-                       CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=16,
-                                        weight=ThetaKind.TRIANGULAR, scale=5), 20)),
-    "thm15b": ("triangular sums of C over 125n+114, /5, vanish mod 25",
-               partial(_check_family, "thm15b",
-                       CongruenceFamily(SeriesName.C_CRANK, 25, stride=125, offset=114,
-                                        weight=ThetaKind.TRIANGULAR, scale=5,
-                                        pre_divisor=5), 7)),
     "thm16": ("alternating-square sums of a on the 5p^2 progressions, mod 5",
               partial(_check_5p2, "thm16", ThetaKind.SQUARES, (25, 1), p=13)),
-    "cr1": ("pentagonal-weighted sums of a over 25n+21 vanish mod 5",
-            partial(_check_family, "cr1",
-                    CongruenceFamily(SeriesName.A_RECIP, 5, stride=25, offset=21,
-                                     weight=ThetaKind.PENT_6K1, scale=5), 20)),
     "cr2": ("alternating cubic-weighted sums of a on 5p^2 progressions, mod 5",
             partial(_check_5p2, "cr2", ThetaKind.CUBIC_3K1, (65, 41, (7, 11), 12),
                     p=7)),
@@ -487,18 +497,6 @@ _REGISTRY: dict[str, tuple[str, Callable[..., CheckReport]]] = {
              _check_ch_d),
     "ch-h": ("multiplicative relation h(pn+shift) = +-p h(n/p) and vanishing",
              _check_ch_h),
-    "smoke5": ("partition numbers vanish mod 5 on 5n+4",
-               partial(_check_family, "smoke5",
-                       CongruenceFamily(SeriesName.P_PARTITION, 5, stride=5,
-                                        offset=4), 100)),
-    "smoke7": ("partition numbers vanish mod 7 on 7n+5",
-               partial(_check_family, "smoke7",
-                       CongruenceFamily(SeriesName.P_PARTITION, 7, stride=7,
-                                        offset=5), 100)),
-    "smoke11": ("partition numbers vanish mod 11 on 11n+6",
-                partial(_check_family, "smoke11",
-                        CongruenceFamily(SeriesName.P_PARTITION, 11, stride=11,
-                                         offset=6), 100)),
     # intermediate reduced generating functions
     "a54": (IDENTITIES["a54"].reduction() + "; A(10n+9) vanishes mod 5",
             _check_a54),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from crankq import etaq, series
+from crankq import congruence, etaq, series, tasks
 from crankq.congruence import (ORACLE_CAP, CongruenceFamily, check_progression,
                                colored_partition_oracle, crank_parity_oracle,
                                oracle_rows, solve_24n_condition, weighted_sum)
@@ -289,6 +289,56 @@ def test_cooper_hirschhorn_preconditions():
         run_task("ch-h", p=5, n_max=10)
     with pytest.raises(ValueError):
         run_task("ch-h", p=25, n_max=10)   # 25 = 1 mod 24 and composite
+
+
+# ----------------------------------------------------------------------
+# witnesses of the failing paths, each forced by one changed coefficient
+
+def _bumped(lookup, name, index, delta):
+    """``lookup`` (a ``named_series``) with ``delta`` added at q^index of ``name``."""
+    def bumped(key, order):
+        got = lookup(key, order)
+        if etaq.resolve_name(key) is name:
+            got = got + series.Series.monomial(delta, index, got.order)
+        return got
+    return bumped
+
+
+@pytest.mark.parametrize("index, delta, witness", [
+    (19, 1, {"n": 3, "index": 19, "residue": 1, "alpha": 0}),
+    # 349 = 125*2 + 99 is also in the mod-5 class 5n+4, where +5 changes no residue
+    (349, 5, {"n": 2, "index": 349, "residue": 5, "alpha": 1}),
+], ids=["alpha0", "alpha1"])
+def test_thm11_witness_names_its_alpha(monkeypatch, index, delta, witness):
+    # check_progression looks C up in congruence, so that is the name patched
+    monkeypatch.setattr(congruence, "named_series",
+                        _bumped(congruence.named_series, SeriesName.C_CRANK, index, delta))
+    report = run_task("thm11")
+    assert not report.passed
+    assert report.witness == witness
+
+
+_CH_H_PARAMS = {"sequence": "h", "p": 13, "n_max": 100, "corollary_n_max": 5, "shift": 35}
+
+
+@pytest.mark.parametrize("index, n_max, witness, sign", [
+    (35, 100, {"n": 0, "lhs": 14, "rhs_times_p": 13, "reason": "no consistent sign"}, None),
+    (204, 100, {"n": 13, "lhs": -38, "rhs_times_p": -39, "sign": 1}, 1),
+    (48, 0, {"n": 0, "r": 1, "index": 48, "value": 1, "reason": "corollary vanishing"}, 1),
+], ids=["no-sign", "sign-mismatch", "corollary"])
+def test_ch_h_witness_and_sign_param(monkeypatch, index, n_max, witness, sign):
+    # a failing report carries the sign param too: None until the sign is read
+    monkeypatch.setattr(tasks, "named_series",
+                        _bumped(tasks.named_series, SeriesName.H_CH, index, 1))
+    report = run_task("ch-h", n_max=n_max)
+    assert not report.passed
+    assert report.witness == witness
+    assert report.params == dict(_CH_H_PARAMS, n_max=n_max, sign=sign)
+
+
+def test_f52_rejects_an_unknown_selector():
+    with pytest.raises(ValueError, match=r"^unknown f52 selector 'both!'$"):
+        run_task("f52", which="both!")
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from crankq import tasks
 from crankq.errors import InexactDivision
 from crankq.etaq import (EtaQuotientSpec, SeriesName, eta_quotient, eta_series,
                          factor_product, named_series, parse_quotient,
@@ -147,6 +148,18 @@ def test_binomial_congruence_witness_machinery():
     lhs = eta_series({1: 5}, 60) + Series.monomial(1, 7, 60)
     rhs = eta_series({5: 1}, 60)
     assert lhs.reduce_mod(5).first_diff(rhs.reduce_mod(5)) == 7
+
+
+def test_binomial_congruence_witness_names_its_pair(monkeypatch):
+    # +1 at q^7 of f_2^5: the pair (1, 1) holds, and (2, 1) fails there
+    def bumped(factors, order):
+        got = eta_series(factors, order)
+        return got + Series.monomial(1, 7, order) if factors == {2: 5} else got
+    monkeypatch.setattr(tasks, "eta_series", bumped)
+    report = run_task("binom")
+    assert not report.passed
+    assert report.params == {"m": 2, "k": 1, "modulus": 5}
+    assert report.witness == {"exponent": 7, "lhs": 1, "rhs": 0}
 
 
 def test_binomial_congruence_validation():
