@@ -24,13 +24,15 @@ reference side of the identity checks.
 verification tasks talk about: the partition numbers, the crank parity
 sequence C(n), its reciprocal a(n), and the auxiliary products used by
 the congruence proofs.  It and :func:`rr_series` share one cache.  Each
-entry keeps its Series and the pass lists that a higher order reads, so
-a request above the cached order resumes every pass where it stopped
-and computes only the new coefficients: an ascending run of requests
-costs about one build at its top order.  Every product, cached or not,
-lays out the unit list times its first two multiplies sparse by sparse,
-with no pass and nothing kept.  f is the exactly divided
-C(5j+4) column, read from C's entry, times psi(q).
+entry keeps its Series and its divides' lists, so a request above the
+cached order resumes every divide where it stopped and computes only
+the new coefficients: over an ascending run of requests the divides
+cost about one build at the top order.  The multiplies are rebuilt at
+each order, about twice their top-order cost over a run of doubling
+orders.  Every product, cached or not, lays out the unit list times its
+first two multiplies sparse by sparse, with no pass and nothing kept.
+f is the exactly divided C(5j+4) column, read from C's entry, times
+psi(q).
 """
 
 from __future__ import annotations
@@ -425,13 +427,6 @@ def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
     return tuple(sorted(factors, key=lambda f: (f[2] < 0, -_price(f[0], f[2]) / sqrt(f[1]))))
 
 
-def _multiplies_first(factors: Iterable[Factor]) -> list[Factor]:
-    """Multiply passes before divide passes.  Truncated products of unit
-    series commute exactly, so the result is the same in any order, and
-    the intermediates stay small integers for longer."""
-    return sorted(factors, key=lambda factor: factor[2] < 0)
-
-
 # (generator, m) -> (n, the terms below q^n): the highest n asked for yet
 _STRETCHED: dict[tuple[Callable, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
@@ -443,6 +438,8 @@ def _stretched_terms(terms, m: int, n: int) -> tuple[tuple[int, int], ...]:
     with this generator and m; a lower n is a prefix of those, cut by one
     bisect slice.  Keyed by the generator, so a replaced ``SUMS`` row is
     never served stale terms."""
+    if m < 1:
+        raise ValueError(f"stretch factor must be >= 1, got {m}")
     top, stretched = _STRETCHED.get((terms, m), (0, ()))
     if n > top:
         stretched = tuple((m * k, c) for k, c in terms(-(-n // m)))
@@ -453,8 +450,10 @@ def _stretched_terms(terms, m: int, n: int) -> tuple[tuple[int, int], ...]:
 
 def apply_factors(coeffs: list[int], factors: Iterable[Factor]) -> None:
     """Multiply a dense coefficient list in place by a product of factors,
-    multiply passes first (:func:`_multiplies_first`)."""
-    for name, m, e in _multiplies_first(factors):
+    multiply passes first.  Truncated products of unit series commute
+    exactly, so the result is the same in any order, and the
+    intermediates stay small integers for longer."""
+    for name, m, e in sorted(factors, key=lambda factor: factor[2] < 0):
         sparse_pass(coeffs, _stretched_terms(SUMS[name][1], m, len(coeffs)), e)
 
 
@@ -520,42 +519,36 @@ def eta_series(factors: Mapping[int, int] | Iterable[tuple[int, int]],
 
 class _Product:
     """One cache entry: q^shift * source * prod of factors, its Series and
-    the pass lists that an extension to a higher order reads.
+    the divides' lists that an extension to a higher order reads.
 
-    The product runs as stages, one per pass in :func:`apply_factors`
-    order (multiplies, then divides).  Growing it from n0 to n
-    coefficients computes only entries n0..n-1 of each stage
-    (:func:`~crankq.series.sparse_pass` with ``start = n0``).  A multiply
-    reads its input stage in full, and a divide reads its input's new
-    entries and its own output.  So a stage's output is kept when it
-    divides or feeds a multiply.  It is not kept when the cached Series
-    holds it (the last stage), or when it can be rebuilt cheaply: the
-    source, and the first two multiplies of the unit source.  Those are
-    laid out sparse by sparse, the terms of the first sum (and 1) times
-    the terms of the second, with no pass: O(t0 t1) steps for sums of t0
-    and t1 terms, in place of a pass of t1 n.  A plan from
-    :func:`plan_quotient` lists its two dearest multiplies first, so
-    those are the two laid out.  When a divide or nothing follows them,
-    an extension reads only their new entries, so it lays out only the
-    pairs of terms that land in n0..n-1.
+    The product is a head of multiplies and a tail of divides, one pass
+    per power.  The head is rebuilt from the source at each extension
+    and kept nowhere: since every multiply is one packed shift-and-add
+    over the whole list, resuming one saves only the unpacking of its
+    prefix.  The first two multiplies of the unit source are laid out
+    sparse by sparse, the terms of the first sum (and 1) times the terms
+    of the second, with no pass: O(t0 t1) steps for sums of t0 and t1
+    terms, in place of a pass of t1 n.  A plan from :func:`plan_quotient`
+    lists its two dearest multiplies first, so those are the two laid
+    out.  Growing the product from n0 to n coefficients, the head's
+    reader (a divide, or the new entries of the Series) reads only
+    entries n0..n-1 of the head, so the last multiply pass resumes at n0
+    and, when the lay-out is the whole head, only the pairs of terms that
+    land in n0..n-1 are laid out.
+    Each divide resumes at n0 (:func:`~crankq.series.sparse_pass` with
+    ``start = n0``) from all of its own output: the last divide's is the
+    cached Series, and every other divide keeps its list.
     """
 
     def __init__(self, factors: Iterable[Factor], shift: int = 0,
                  source: Optional[Callable[[int], list[int]]] = None):
-        self.stages = [(name, m, 1 if e > 0 else -1)
-                       for name, m, e in _multiplies_first(factors)
-                       for _ in range(abs(e))]
+        factors = list(factors)
+        self.multiplies = [(name, m) for name, m, e in factors for _ in range(e)]
+        self.divides = [(name, m) for name, m, e in factors for _ in range(-e)]
         self.shift = shift
         self.source = source        # n -> first n coefficients; None is 1
-        signs = [sign for _, _, sign in self.stages]
-        # stages 0..laid-1 are laid out; a divide or nothing after them
-        # reads only their new entries
-        self.laid = 0 if source is not None else min(2, signs.count(1))
-        self.partial = self.laid == len(signs) or signs[self.laid] < 0
-        self.keep = [i + 1 < len(signs) and (sign < 0 or (
-            signs[i + 1] > 0 and i >= self.laid))
-            for i, sign in enumerate(signs)]
-        self.kept: list[Optional[list[int]]] = [None] * len(self.stages)
+        self.laid = 0 if source is not None else min(2, len(self.multiplies))
+        self.kept: list[list[int]] = [[] for _ in self.divides[1:]]
         self.series: Optional[Series] = None
         self.lock = threading.Lock()
 
@@ -574,42 +567,31 @@ class _Product:
     def _extend(self, n: int) -> None:
         # New lists replace the kept ones only with the new Series, so an
         # extension that raises leaves the entry as it was.
-        final, kept = self.series, list(self.kept)
+        final = self.series
         n0 = 0 if final is None else final.order - self.shift
-        prev = [1] + [0] * (n - 1) if self.source is None else self.source(n)
-        support = ((0, 1),)         # the (k, c) of prev while it is laid out
-        lo = n0 if self.partial else 0      # the first laid-out entry read
-        for i, (name, m, sign) in enumerate(self.stages):
+        old = [] if final is None else [0] * (final.valuation - self.shift) + list(final.coeffs)
+        cur = [1] + [0] * (n - 1) if self.source is None else self.source(n)
+        support = ((0, 1),)         # the (k, c) of cur while it is laid out
+        lo = n0 if self.laid == len(self.multiplies) else 0    # the first laid-out entry read
+        for i, (name, m) in enumerate(self.multiplies):
             terms = _stretched_terms(SUMS[name][1], m, n)
-            last = i + 1 == len(self.stages)
-            if not last:
-                old = kept[i] or []
-            elif final is None:
-                old = []
-            else:
-                old = [0] * (final.valuation - self.shift) + list(final.coeffs)
-            if sign < 0:
-                cur = old + prev[n0:]
-                sparse_pass(cur, terms, -1, n0)
-            elif i < self.laid:
-                cur = prev                  # one or two sparse sums, term by term
+            if i < self.laid:               # one or two sparse sums, term by term
                 for j, b in support:
                     for k, c in terms if j >= lo else terms[bisect_left(terms, (lo - j,)):]:
                         if j + k >= n:
                             break
                         cur[j + k] += b * c
                 support += terms
-                if last:
-                    cur[:n0] = old
             else:
-                cur = prev[:] if i and self.keep[i - 1] else prev
-                sparse_pass(cur, terms, 1, n0)
-                if last or self.keep[i]:
-                    cur[:n0] = old
-            if self.keep[i]:
-                kept[i] = cur
-            prev = cur
-        self.kept, self.series = kept, Series(self.shift, prev, n + self.shift)
+                sparse_pass(cur, terms, 1, n0 if i + 1 == len(self.multiplies) else 0)
+        if not self.divides:
+            cur[:n0] = old
+        kept = self.kept + [old]    # each divide's output so far
+        for i, (name, m) in enumerate(self.divides):
+            cur = kept[i] + cur[n0:]
+            sparse_pass(cur, _stretched_terms(SUMS[name][1], m, n), -1, n0)
+            kept[i] = cur
+        self.kept, self.series = kept[:-1], Series(self.shift, cur, n + self.shift)
 
 
 _CACHE: dict[object, _Product] = {}

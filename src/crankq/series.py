@@ -24,11 +24,13 @@ so series may be shared freely between threads.
 place, by a sparse unit series ``1 + sum c q^k``: every eta quotient, R(q)
 and P(m,n) evaluation is a sequence of such passes, and
 :meth:`Series.invert` is one divide pass.  A pass can resume where it
-stopped, so the cached series of :mod:`crankq.etaq` grow without
-recomputing their prefix.  Every multiply runs on integers packed from the
-lists (:func:`_pack`, slots of one machine word through an ``array`` where
-they fit): a multiply pass is one shift-and-add per term, and a product of
-two series is one product of two such integers.
+stopped: a divide then computes only the new entries, so the cached
+divides of :mod:`crankq.etaq` grow without recomputing their prefix,
+and a resumed multiply still shifts its whole list.  Every multiply runs
+on integers packed from the lists (:func:`_pack`, slots of one machine
+word through an ``array`` where they fit): a multiply pass is one
+shift-and-add per term, and a product of two series is one product of
+two such integers.
 """
 
 from __future__ import annotations

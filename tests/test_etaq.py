@@ -4,8 +4,8 @@ import pytest
 
 from crankq import tasks
 from crankq.errors import InexactDivision
-from crankq.etaq import (EtaQuotientSpec, SeriesName, eta_quotient, eta_series,
-                         factor_product, named_series, parse_quotient,
+from crankq.etaq import (EtaQuotientSpec, SeriesName, apply_factors, eta_quotient,
+                         eta_series, factor_product, named_series, parse_quotient,
                          rr_series, rr_stretch)
 from crankq.series import Series
 from crankq.tasks import run_task
@@ -167,6 +167,18 @@ def test_binomial_congruence_validation():
         run_task("binom", order=50, pairs=((0, 1),))
     with pytest.raises(ValueError):
         run_task("binom", order=50, pairs=((1, 0),))
+
+
+@pytest.mark.parametrize("build, args, m", [
+    (rr_stretch, (-1, 10), -1),
+    (rr_stretch, (0, 10), 0),
+    (factor_product, ([("eta", -1, 1)], 10), -1),
+    (apply_factors, ([1, 0, 0], [("eta", 0, 1)]), 0),
+], ids=["rr_stretch-1", "rr_stretch-0", "factor_product-1", "apply_factors-0"])
+def test_a_factor_stretched_below_one_is_rejected(build, args, m):
+    # no sum is a series at q -> q^m for m < 1, whichever entry point reads it
+    with pytest.raises(ValueError, match=f"stretch factor must be >= 1, got {m}$"):
+        build(*args)
 
 
 # ----------------------------------------------------------------------

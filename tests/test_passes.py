@@ -14,6 +14,7 @@ Planned eta quotients are also compared with the plain route, |e| passes
 of f_m.
 """
 
+import copy
 import random
 from functools import cache, partial
 from math import sqrt
@@ -965,6 +966,11 @@ WEIGHTED_PAIR = [("jacobi", 1, 1), ("squares", 2, 1)]
 EDGE_PAIR = [("eta", 1, 2)]
 PAIR_THEN_MULTIPLY = [("squares", 1, 2), ("eta", 2, 1)]
 PAIR_THEN_DIVIDE = [("jacobi", 1, 1), ("eta", 2, 1), ("squares", 2, -1)]
+# two multiply passes after the pair, with and without a divide after
+# them: an extension runs the first fresh and resumes the second, and
+# with no divide restores the prefix of the cached Series
+PAIR_THEN_TWO_MULTIPLIES_THEN_DIVIDE = [("jacobi", 1, 2), ("eta", 2, 2), ("squares", 2, -1)]
+PAIR_THEN_TWO_MULTIPLIES = [("squares", 1, 2), ("eta", 2, 2)]
 
 
 @given(factor_list(), st.integers(-3, 3), st.integers(1, 150))
@@ -1009,6 +1015,10 @@ class Draws:
 @example(EDGE_PAIR, EDGE_PAIR, 2, [5, 6, 7, 64, 65], [6, 7, 8], Draws(8, 7))
 @example(PAIR_THEN_MULTIPLY, PAIR_THEN_DIVIDE, -1, [64, 65, 66],
          [1, 64, 65, 330], Draws(64, 65))
+@example(PAIR_THEN_TWO_MULTIPLIES_THEN_DIVIDE, PAIR_THEN_TWO_MULTIPLIES, 1,
+         [2, 64, 65, 200], [30, 64, 65, 201], Draws(100, 150))
+@example(PAIR_THEN_TWO_MULTIPLIES, PAIR_THEN_TWO_MULTIPLIES_THEN_DIVIDE, -2,
+         [1, 63, 64, 300], [64, 65, 330], Draws(3, 64))
 @DIFF
 def test_extended_products_match_one_shot_builds(first, second, shift, up1, up2,
                                                  data):
@@ -1046,11 +1056,36 @@ def test_extended_f_matches_one_shot_build(orders, monkeypatch):
         assert named_series("f", order) == Series(0, coeffs, order)
 
 
+@pytest.mark.parametrize("key", ["K", "d", "A"])
+def test_an_extension_that_raises_leaves_the_entry_as_it_was(key, monkeypatch):
+    # each runs two passes from 300 to 700: K two divides, d two
+    # multiplies, A a multiply and a divide
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    named_series(key, 300)
+    entry = etaq._CACHE[etaq.resolve_name(key)]
+    before, kept = entry.series, copy.deepcopy(entry.kept)
+    calls = []
+
+    def failing(coeffs, terms, e=1, start=0):
+        calls.append(e)
+        if len(calls) == 2:
+            raise RuntimeError("the second pass")
+        sparse_pass(coeffs, terms, e, start)
+
+    monkeypatch.setattr(etaq, "sparse_pass", failing)
+    with pytest.raises(RuntimeError, match="the second pass"):
+        named_series(key, 700)
+    assert entry.series == before and entry.series.order == 300
+    assert entry.kept == kept
+    monkeypatch.setattr(etaq, "sparse_pass", sparse_pass)
+    assert named_series(key, 700) == eta_quotient(NAMED_SPECS[etaq.resolve_name(key)], 700)
+
+
 # (sparse passes per build, lists kept) of each named series: the first
 # two multiplies of the unit list, the plan's two dearest, are laid out
-# sparse by sparse, so h runs no pass and C only its divide, and a stage
-# keeps its list only if it divides or feeds a multiply after that pair
-NAMED_PASSES = {"p": (1, 0), "C": (1, 0), "a": (1, 0), "d": (2, 1), "h": (0, 0),
+# sparse by sparse, so h runs no pass and C only its divide, and only a
+# divide that is not the last keeps a list
+NAMED_PASSES = {"p": (1, 0), "C": (1, 0), "a": (1, 0), "d": (2, 0), "h": (0, 0),
                 "K": (2, 1), "A": (2, 0), "R": (1, 0)}
 
 
