@@ -522,19 +522,18 @@ class _Product:
     the divides' lists that an extension to a higher order reads.
 
     The product is a head of multiplies and a tail of divides, one pass
-    per power.  The head is rebuilt from the source at each extension
-    and kept nowhere: since every multiply is one packed shift-and-add
-    over the whole list, resuming one saves only the unpacking of its
-    prefix.  The first two multiplies of the unit source are laid out
+    per power.  The head is rebuilt from the source at each extension,
+    every multiply pass fresh, and kept nowhere: since every multiply is
+    one packed shift-and-add over the whole list, resuming one would
+    save only the unpacking of its prefix.  The first two multiplies of the unit source are laid out
     sparse by sparse, the terms of the first sum (and 1) times the terms
     of the second, with no pass: O(t0 t1) steps for sums of t0 and t1
     terms, in place of a pass of t1 n.  A plan from :func:`plan_quotient`
     lists its two dearest multiplies first, so those are the two laid
     out.  Growing the product from n0 to n coefficients, the head's
     reader (a divide, or the new entries of the Series) reads only
-    entries n0..n-1 of the head, so the last multiply pass resumes at n0
-    and, when the lay-out is the whole head, only the pairs of terms that
-    land in n0..n-1 are laid out.
+    entries n0..n-1 of the head, so when the lay-out is the whole head,
+    only the pairs of terms that land in n0..n-1 are laid out.
     Each divide resumes at n0 (:func:`~crankq.series.sparse_pass` with
     ``start = n0``) from all of its own output: the last divide's is the
     cached Series, and every other divide keeps its list.
@@ -583,8 +582,8 @@ class _Product:
                         cur[j + k] += b * c
                 support += terms
             else:
-                sparse_pass(cur, terms, 1, n0 if i + 1 == len(self.multiplies) else 0)
-        if not self.divides:
+                sparse_pass(cur, terms, 1)
+        if not self.divides:        # a partial lay-out left cur[:n0] unbuilt
             cur[:n0] = old
         kept = self.kept + [old]    # each divide's output so far
         for i, (name, m) in enumerate(self.divides):

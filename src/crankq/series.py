@@ -26,11 +26,11 @@ and P(m,n) evaluation is a sequence of such passes, and
 :meth:`Series.invert` is one divide pass.  A pass can resume where it
 stopped: a divide then computes only the new entries, so the cached
 divides of :mod:`crankq.etaq` grow without recomputing their prefix,
-and a resumed multiply still shifts its whole list.  Every multiply runs
-on integers packed from the lists (:func:`_pack`, slots of one machine
-word through an ``array`` where they fit): a multiply pass is one
-shift-and-add per term, and a product of two series is one product of
-two such integers.
+while a resumed multiply still shifts its whole list, and the cache runs
+every multiply fresh.  Every multiply runs on integers packed from the
+lists (:func:`_pack`, slots of one machine word through an ``array``
+where they fit): a multiply pass is one shift-and-add per term, and a
+product of two series is one product of two such integers.
 """
 
 from __future__ import annotations

@@ -967,8 +967,8 @@ EDGE_PAIR = [("eta", 1, 2)]
 PAIR_THEN_MULTIPLY = [("squares", 1, 2), ("eta", 2, 1)]
 PAIR_THEN_DIVIDE = [("jacobi", 1, 1), ("eta", 2, 1), ("squares", 2, -1)]
 # two multiply passes after the pair, with and without a divide after
-# them: an extension runs the first fresh and resumes the second, and
-# with no divide restores the prefix of the cached Series
+# them: an extension runs both fresh, and with no divide restores the
+# prefix of the cached Series
 PAIR_THEN_TWO_MULTIPLIES_THEN_DIVIDE = [("jacobi", 1, 2), ("eta", 2, 2), ("squares", 2, -1)]
 PAIR_THEN_TWO_MULTIPLIES = [("squares", 1, 2), ("eta", 2, 2)]
 
@@ -1106,9 +1106,8 @@ def test_named_builds_run_fixed_passes_and_keep_fixed_lists(key, monkeypatch):
         build(order)
         assert len(calls) == passes and all(e in (1, -1) for e in calls)
         entry = etaq._CACHE["R" if key == "R" else etaq.resolve_name(key)]
-        lists = [coeffs for coeffs in entry.kept if coeffs is not None]
-        assert len(lists) == kept
-        assert all(len(coeffs) == order - entry.shift for coeffs in lists)
+        assert len(entry.kept) == kept
+        assert all(len(coeffs) == order - entry.shift for coeffs in entry.kept)
     calls.clear()
     build(300)                                  # a lower request is a hit
     assert calls == []
