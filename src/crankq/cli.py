@@ -160,9 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dissect)
 
     p = sub.add_parser("verify", help="run verification tasks")
-    p.add_argument("--theorem", action="append",
-                   help="task id (repeatable); see --list")
-    p.add_argument("--all", action="store_true", help="run every task")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--theorem", action="append",
+                       help="task id (repeatable); `crankq list` prints the ids")
+    group.add_argument("--all", action="store_true", help="run every task")
     p.add_argument("--alpha", type=int, help="power index where applicable")
     p.add_argument("--p", type=int, help="prime parameter where applicable")
     p.add_argument("--n-max", type=int,

@@ -16,7 +16,9 @@ eta quotient into the cheapest product of them: each pass priced by its
 terms and its kernel path (unit or weighted row, multiply or divide),
 and the two dearest multiplies free, since they come first and
 :class:`_Product` lays them out with no pass.  :func:`eta_quotient`
-builds that product.
+builds that product.  The plans of the quotients the registry's tasks
+build are read from a committed table that the search reproduces, so
+only a quotient outside it is searched, once per process.
 :func:`eta_factors` is the plain route, |e_m| passes of f_m, kept as the
 reference side of the identity checks.
 
@@ -386,7 +388,6 @@ def _chain(r: int, tail: tuple[int, ...], free: int) -> tuple[_Key, tuple]:
     return found
 
 
-@cache
 def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
     """The cheapest factors for an eta quotient, without its shift, in the
     order :class:`_Product` runs them.
@@ -394,13 +395,23 @@ def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
     A plan costs the passes it runs: each pass's terms at q^m times the
     price of a term-step on its kernel path (``_PRICES``), less its two
     dearest multiply passes.  Those lead the plan, so that
-    :class:`_Product` lays them out with no pass.  Levels split into
-    chains m, 2m, 4m, ... of one odd part, from the lowest level to twice
-    the highest.  Each chain is planned on its own (:func:`_chain`), and
-    the chains share the two free passes.
+    :class:`_Product` lays them out with no pass.  The quotients the
+    registry's tasks build are read from ``_PLANNED``; any other is
+    searched (:func:`_search`), once per process.
+    """
+    return _PLANNED.get(spec.factors) or _search(spec.factors)
+
+
+@cache
+def _search(factors: tuple[tuple[int, int], ...]) -> tuple[Factor, ...]:
+    """The cheapest plan of prod f_m^{e_m} over ``factors`` (m, e_m).
+
+    Levels split into chains m, 2m, 4m, ... of one odd part, from the
+    lowest level to twice the highest.  Each chain is planned on its own
+    (:func:`_chain`), and the chains share the two free passes.
     """
     by_odd: dict[int, dict[int, int]] = {}
-    for m, e in spec.factors:
+    for m, e in factors:
         by_odd.setdefault(m // (m & -m), {})[m] = e
     chains = []
     for _, exps in sorted(by_odd.items()):
@@ -422,9 +433,9 @@ def plan_quotient(spec: EtaQuotientSpec) -> tuple[Factor, ...]:
                 found = (key, tuple((low << j, level) for j, level in enumerate(levels)) + rest)
         return found
 
-    factors = [(name, m, e) for m, (pair, t, s) in share(0, 2)[1]
-               for name, e in {**pair, "jacobi": t, "eta": s}.items() if e]
-    return tuple(sorted(factors, key=lambda f: (f[2] < 0, -_price(f[0], f[2]) / sqrt(f[1]))))
+    plan = [(name, m, e) for m, (pair, t, s) in share(0, 2)[1]
+            for name, e in {**pair, "jacobi": t, "eta": s}.items() if e]
+    return tuple(sorted(plan, key=lambda f: (f[2] < 0, -_price(f[0], f[2]) / sqrt(f[1]))))
 
 
 # (generator, m) -> (n, the terms below q^n): the highest n asked for yet
@@ -679,3 +690,43 @@ def parse_quotient(text: str) -> EtaQuotientSpec:
             e = int(match.group(3)) if match.group(3) is not None else 1
             factors.append((m, e))
     return EtaQuotientSpec.make(factors, shift)
+
+
+# The plans of the 25 eta quotients the registry's tasks build, as
+# _search plans them, so that no task runs the search: one quotient a
+# line, then the (name, m, e) of each factor of its plan, in order.
+# tests/test_package.py checks each line against the search and, when a
+# price or a SUMS row moves a plan, prints this table afresh.  It is
+# text, not a literal of tuples: without a bytecode cache, compiling
+# that literal took 1.1 ms, and reading this text takes 0.2 ms (Python
+# 3.11.7, 2-vCPU Xeon VM).
+_PLANNED_TEXT = """
+f1^-3 * f2^2: squares 2 1, eta 4 1, jacobi 1 -1
+f1^-1: eta 1 -1
+f1^-1 * f2 * f5^5 * f10^-5: triangular 1 1, pent 5 1, eta 2 -1, jacobi 10 -1
+f1: eta 1 1
+f1 * f2^2: eta 1 1, squares 2 1, eta 4 1
+f1^2 * f2^-4 * f5 * f10^2: squares 1 1, eta 5 1, squares 10 1, eta 20 1, jacobi 2 -1
+f1^2 * f2^-4 * f5^6: squares 1 1, jacobi 5 2, jacobi 2 -1
+f1^2 * f5^-4 * f10^8: squares 1 1, eta 2 1, cubic 5 1, squares 10 1, eta 20 1, squares 5 -1
+f1^3 * f2^-2: squares 1 1, eta 1 1, eta 2 -1
+f1^3 * f2^-2 * f5^-1 * f10^2: squares 1 1, eta 1 1, triangular 5 1, eta 2 -1
+f1^3 * f2: jacobi 1 1, eta 2 1
+f1^4 * f2^2: jacobi 1 1, eta 1 1, squares 2 1, eta 4 1
+f1^5: pent 1 1, eta 2 2
+f1^5 * f2^-6 * f5^-3 * f10^6: squares 1 1, eta 1 1, cubic 5 1, triangular 5 1, cubic 1 -1, eta 10 -1
+f1^7 * f2^-10 * f5^-5 * f10^10: pent 1 1, cubic 5 2, cubic 1 -1, jacobi 2 -1, eta 5 -1
+f1^25: pent 1 2, jacobi 1 5, jacobi 2 1, eta 2 1
+f2^-1 * f5^-2 * f10^2: triangular 5 1, eta 2 -1, eta 5 -1
+f2^-1 * f5^-2 * f10^5: cubic 5 1, eta 2 -1
+f2^2 * f10^2: squares 2 1, eta 4 1, squares 10 1, eta 20 1
+f2^5: pent 2 1, eta 4 2
+f5^-6 * f25^5: pent 25 1, eta 50 2, jacobi 5 -2
+f5: eta 5 1
+f5^5: pent 5 1, eta 10 2
+f10: eta 10 1
+f25: eta 25 1
+"""
+_PLANNED = {parse_quotient(quotient).factors:
+            tuple((name, int(m), int(e)) for name, m, e in map(str.split, plan.split(",")))
+            for quotient, plan in (line.split(":") for line in _PLANNED_TEXT.splitlines() if line)}

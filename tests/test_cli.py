@@ -84,6 +84,22 @@ def test_verify_requires_selection(capsys):
     assert "verify needs" in err
 
 
+@pytest.mark.parametrize("argv", [("--all", "--theorem", "thm12"),
+                                  ("--theorem", "thm12", "--all")])
+def test_verify_all_with_theorem_is_usage_error(capsys, argv):
+    # --all would run every task and drop the id
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "--all" in err and "--theorem" in err and "not allowed with" in err
+
+
+def test_verify_help_names_the_list_command(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "task id (repeatable); `crankq list` prints the ids" in " ".join(out.split())
+    assert "--list" not in out
+
+
 def test_unknown_task_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "bogus")
     assert code == 2

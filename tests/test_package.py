@@ -1,9 +1,10 @@
 """Package-wide invariants: exported names resolve, one run of every
 task computes each coefficient of every cached series once, multiplies
-no two series and plans each eta quotient as pinned, run_task checks its
-arguments, a task id runs only its own check, every check is defined in
-the task module, the report and the task outcomes match the benchmark's
-golden file, and the README's library tour runs as written."""
+no two series and plans each eta quotient as pinned, from etaq's table
+and not by its search, run_task checks its arguments, a task id runs
+only its own check, every check is defined in the task module, the
+report and the task outcomes match the benchmark's golden file, and the
+README's library tour runs as written."""
 
 import importlib
 import json
@@ -141,6 +142,58 @@ def test_every_task_plan_is_pinned(monkeypatch, order):
         elif not tid.startswith("oracle-"):
             tasks.run_task(tid, order=order)
     assert plans == _PLANS
+
+
+def test_the_plan_table_holds_the_pinned_plans():
+    # etaq reads these plans and does not search them; a plan ignores the shift
+    assert len(etaq._PLANNED) == len(_PLANS)
+    assert etaq._PLANNED == {factors: plan for (_, factors), plan in _PLANS.items()}
+
+
+def _table_text(table: dict) -> str:
+    """``table`` written as ``etaq._PLANNED_TEXT`` is, to paste over it."""
+    lines = [f"{etaq.EtaQuotientSpec(factors=factors)}: "
+             + ", ".join(f"{name} {m} {e}" for name, m, e in plan)
+             for factors, plan in sorted(table.items())]
+    return '_PLANNED_TEXT = """\n' + "\n".join(lines) + '\n"""'
+
+
+def test_the_search_reproduces_every_plan_in_the_table():
+    # the search is the table's oracle: after a change to _PRICES or to a
+    # SUMS row, paste the table this prints over etaq._PLANNED_TEXT
+    searched = {factors: etaq._search.__wrapped__(factors) for factors in etaq._PLANNED}
+    if searched != etaq._PLANNED:
+        print(_table_text(searched))
+    assert searched == etaq._PLANNED
+    # and the printout of an unchanged table is the committed text
+    assert _table_text(etaq._PLANNED) == f'_PLANNED_TEXT = """{etaq._PLANNED_TEXT}"""'
+
+
+@pytest.mark.parametrize("order", [None, 400])
+def test_a_cold_run_plans_nothing(monkeypatch, capsys, order):
+    # every quotient a task builds is read from etaq._PLANNED: from an
+    # empty cache, neither a report nor the non-oracle tasks at order 400
+    # run the search
+    searched = {}
+    etaq._search.cache_clear()
+    search = etaq._search
+
+    def spy(factors):
+        searched[factors] = plan = search(factors)
+        return plan
+
+    monkeypatch.setattr(etaq, "_search", spy)
+    monkeypatch.setattr(etaq, "_CACHE", {})
+    if order is None:
+        cli.main(["report", "--format", "json"])
+    else:
+        for tid in tasks.task_ids():
+            if not tid.startswith("oracle-"):
+                tasks.run_task(tid, order=order)
+    capsys.readouterr()
+    if searched:
+        print(_table_text({**etaq._PLANNED, **searched}))
+    assert searched == {}
 
 
 @pytest.mark.parametrize("call, message", [
